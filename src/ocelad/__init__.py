@@ -14,9 +14,7 @@ from .autoencoder import (
     TrainReport,
     backward,
     forward,
-    load_model,
     loss,
-    save_model,
     score_events,
     train,
 )
@@ -24,7 +22,6 @@ from .cli import main, run_detection
 from .encoding import (
     EncodedGraph,
     FeatureLayout,
-    NormalizedAdjacency,
     SparseAdjacency,
     build_adjacency,
     build_layout,
@@ -37,9 +34,6 @@ from .injection import (
     GroundTruth,
     InjectionPlan,
     inject_all,
-    inject_attribute_swap,
-    inject_random_activity,
-    inject_timestamp_shift,
     plan_injection,
 )
 from .instances import (
@@ -49,7 +43,6 @@ from .instances import (
     build_edges,
     build_instances,
     build_traces,
-    instance_stats,
 )
 from .ocel import (
     Event,
@@ -57,7 +50,6 @@ from .ocel import (
     ObjectEntry,
     OcelError,
     parse_ocel_json,
-    validate_log,
     write_ocel_json,
 )
 from .scoring import (
@@ -87,7 +79,6 @@ __all__ = [
     "InjectionPlan",
     "MetricsBlock",
     "NonFiniteLossError",
-    "NormalizedAdjacency",
     "ObjectCentricLog",
     "ObjectEntry",
     "OcelError",
@@ -114,13 +105,8 @@ __all__ = [
     "forward",
     "generate",
     "inject_all",
-    "inject_attribute_swap",
-    "inject_random_activity",
-    "inject_timestamp_shift",
-    "instance_stats",
     "iqr_threshold",
     "label_events",
-    "load_model",
     "loss",
     "main",
     "normalize_adjacency",
@@ -129,9 +115,7 @@ __all__ = [
     "quantile",
     "recall_at_k",
     "run_detection",
-    "save_model",
     "score_events",
     "train",
-    "validate_log",
     "write_ocel_json",
 ]

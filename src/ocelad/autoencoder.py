@@ -16,14 +16,12 @@ columns.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .encoding import EncodedGraph, FeatureLayout, layout_checksum
+from .encoding import EncodedGraph, FeatureLayout
 from .numerics import (
     AdamState,
     DimensionMismatchError,
@@ -44,10 +42,6 @@ class NonFiniteLossError(Exception):
         super().__init__(f"loss is not finite at epoch {epoch}: {value!r}")
         self.epoch = epoch
         self.value = value
-
-
-class LayoutMismatchError(Exception):
-    """A saved model does not match the target log's feature layout."""
 
 
 @dataclass
@@ -77,6 +71,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("Adam betas must be in [0, 1)")
+        if not self.epsilon > 0:
+            raise ValueError("Adam epsilon must be positive")
 
 
 @dataclass
@@ -233,30 +231,3 @@ def score_events(x: np.ndarray, xhat: np.ndarray, layout: FeatureLayout) -> np.n
     ]
     return np.mean(group_means, axis=0)
 
-
-def save_model(model: GcnaeModel, layout: FeatureLayout, path: str | Path) -> None:
-    """Persist weights with dimensions and a layout checksum for safe reloading."""
-    doc = {
-        "n_features": model.w0.shape[0],
-        "hidden1": model.w0.shape[1],
-        "hidden2": model.w1.shape[1],
-        "layout_checksum": layout_checksum(layout),
-        "w0": model.w0.tolist(),
-        "w1": model.w1.tolist(),
-        "w2": model.w2.tolist(),
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
-
-
-def load_model(path: str | Path, layout: FeatureLayout) -> GcnaeModel:
-    """Load a saved model, validating it against the target log's layout."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc["layout_checksum"] != layout_checksum(layout):
-        raise LayoutMismatchError(
-            "saved model was trained against a different feature layout"
-        )
-    return GcnaeModel(
-        w0=np.array(doc["w0"], dtype=np.float64),
-        w1=np.array(doc["w1"], dtype=np.float64),
-        w2=np.array(doc["w2"], dtype=np.float64),
-    )

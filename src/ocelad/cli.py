@@ -32,6 +32,7 @@ from .ocel import ObjectCentricLog, OcelError, parse_ocel_json, write_ocel_json
 from .scoring import (
     DetectionReport,
     MetricsBlock,
+    _metrics_to_dict,
     compute_metrics,
     format_metrics_table,
     iqr_threshold,
@@ -98,11 +99,20 @@ def run_detection(
 
 
 def _effective(args: argparse.Namespace, defaults: dict) -> dict:
-    """Resolve settings: explicit flags > config file > defaults."""
+    """Resolve settings: explicit flags > config file > defaults.
+
+    A config file may hold any pipeline setting, so one file serves every
+    command; a key no command knows is an error, not silently ignored.
+    """
     settings = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
         loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{config_path}: settings must be a JSON object")
+        unknown = sorted(set(loaded) - set(PIPELINE_DEFAULTS))
+        if unknown:
+            raise ValueError(f"{config_path}: unknown setting(s) {unknown}")
         for key, value in loaded.items():
             if key in settings:
                 settings[key] = value
@@ -210,19 +220,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _metrics_json(named: list[tuple[str, MetricsBlock]]) -> str:
-    runs = []
-    for name, metrics in named:
-        runs.append(
-            {
-                "report": name,
-                "f1": metrics.f1,
-                "auc_roc": metrics.auc_roc,
-                "auc_pr": metrics.auc_pr,
-                "recall_at_k": metrics.recall_at_k,
-                "k": metrics.k,
-                "per_type_recall": dict(sorted(metrics.per_type_recall.items())),
-            }
-        )
+    runs = [{"report": name, **_metrics_to_dict(metrics)} for name, metrics in named]
     doc: dict = {"runs": runs}
     if len(runs) > 1:
         keys = ["f1", "auc_roc", "auc_pr", "recall_at_k"]
@@ -314,6 +312,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group-max", dest="group_max", type=int, default=None,
                        help="max orders per package")
 
+    def add_detect_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--epochs", type=int, default=None)
+        p.add_argument("--hidden1", type=int, default=None)
+        p.add_argument("--hidden2", type=int, default=None)
+        p.add_argument("--lr", type=float, default=None)
+        p.add_argument("--k-factor", dest="k_factor", type=float, default=None)
+        p.add_argument("--no-scale-numeric", dest="no_scale_numeric", action="store_const",
+                       const=True, default=None,
+                       help="encode numeric attributes raw instead of min-max scaled")
+        p.add_argument("--config", default=None, help="JSON settings file")
+
     gen = sub.add_parser("generate", help="generate a synthetic order/item/package log")
     gen.add_argument("--orders", type=int, default=None, help="number of orders")
     gen.add_argument("--seed", type=int, default=None)
@@ -335,21 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     det = sub.add_parser("detect", help="train the autoencoder and label anomalies")
     det.add_argument("--input", "-i", required=True, help="OCEL JSON to analyze")
     det.add_argument("--output", "-o", required=True, help="report JSON path (CSV written alongside)")
-    det.add_argument("--seed", type=int, default=None)
-    det.add_argument("--epochs", type=int, default=None)
-    det.add_argument("--hidden1", type=int, default=None)
-    det.add_argument("--hidden2", type=int, default=None)
-    det.add_argument("--lr", type=float, default=None)
-    det.add_argument("--k-factor", dest="k_factor", type=float, default=None)
-    det.add_argument(
-        "--no-scale-numeric",
-        dest="no_scale_numeric",
-        action="store_const",
-        const=True,
-        default=None,
-        help="encode numeric attributes raw instead of min-max scaled",
-    )
-    det.add_argument("--config", default=None, help="JSON settings file")
+    add_detect_flags(det)
     det.set_defaults(func=_cmd_detect)
 
     ev = sub.add_parser("evaluate", help="join reports with ground truth and print metrics")
@@ -363,22 +359,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--orders", type=int, default=None)
     add_shape_flags(pipe)
     pipe.add_argument("--rate", type=float, default=None)
-    pipe.add_argument("--seed", type=int, default=None)
     pipe.add_argument("--repeat", type=int, default=None, help="number of detection seeds")
-    pipe.add_argument("--epochs", type=int, default=None)
-    pipe.add_argument("--hidden1", type=int, default=None)
-    pipe.add_argument("--hidden2", type=int, default=None)
-    pipe.add_argument("--lr", type=float, default=None)
-    pipe.add_argument("--k-factor", dest="k_factor", type=float, default=None)
     pipe.add_argument("--mean-step-minutes", dest="mean_step_minutes", type=float, default=None)
-    pipe.add_argument(
-        "--no-scale-numeric",
-        dest="no_scale_numeric",
-        action="store_const",
-        const=True,
-        default=None,
-    )
-    pipe.add_argument("--config", default=None, help="JSON settings file")
+    add_detect_flags(pipe)
     pipe.set_defaults(func=_cmd_pipeline)
 
     return parser

@@ -11,8 +11,6 @@ attribute (min-max scaled by default).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,8 +18,6 @@ import numpy as np
 
 from .instances import ProcessInstanceSet, build_instances
 from .ocel import AttributeKind, ObjectCentricLog
-
-MISSING_LABEL = "<missing>"
 
 
 class EncodingError(Exception):
@@ -38,14 +34,17 @@ class UnknownCategoricalValueError(EncodingError):
 
 @dataclass(frozen=True, eq=False)
 class SparseAdjacency:
-    """Directed adjacency in CSR form; stored entries all have value 1.
+    """An n x n matrix in CSR form; ``weights`` None means every entry is 1.
 
-    No duplicates and no diagonal entries; ``indices`` are sorted within rows.
+    No duplicate entries; ``indices`` are sorted within rows. The event
+    adjacency is unweighted with no diagonal; its normalized variant carries
+    weights and a fully populated diagonal.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
+    weights: np.ndarray | None = None
 
     @property
     def nnz(self) -> int:
@@ -53,33 +52,8 @@ class SparseAdjacency:
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n, self.n))
-        for row in range(self.n):
-            dense[row, self.indices[self.indptr[row] : self.indptr[row + 1]]] = 1.0
-        return dense
-
-
-@dataclass(frozen=True, eq=False)
-class NormalizedAdjacency:
-    """Symmetrically normalized self-looped adjacency in CSR form.
-
-    Symmetric with a fully populated diagonal; weight of entry (u, v) is
-    1/sqrt(d_u * d_v) for the degrees of the symmetrized self-looped graph.
-    """
-
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n, self.n))
-        for row in range(self.n):
-            start, stop = self.indptr[row], self.indptr[row + 1]
-            dense[row, self.indices[start:stop]] = self.weights[start:stop]
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        dense[rows, self.indices] = 1.0 if self.weights is None else self.weights
         return dense
 
 
@@ -122,24 +96,13 @@ class FeatureLayout:
     groups: tuple[FeatureGroup, ...]
     n_columns: int
 
-    def column_names(self) -> list[str]:
-        names: list[str] = []
-        for group in self.groups:
-            if group.kind is GroupKind.NUMERIC:
-                names.append(group.name)
-            else:
-                names.extend(f"{group.name}={value}" for value in group.vocabulary)
-                if group.kind is GroupKind.CATEGORICAL:
-                    names.append(f"{group.name}={MISSING_LABEL}")
-        return names
-
 
 @dataclass(frozen=True, eq=False)
 class EncodedGraph:
     """The model input: adjacency, normalized adjacency, features, layout."""
 
     adjacency: SparseAdjacency
-    normalized: NormalizedAdjacency
+    normalized: SparseAdjacency
     features: np.ndarray
     layout: FeatureLayout
     event_ids: tuple[str, ...]
@@ -175,7 +138,7 @@ def build_adjacency(instance_set: ProcessInstanceSet, n: int) -> SparseAdjacency
     return SparseAdjacency(n=n, indptr=indptr, indices=indices)
 
 
-def normalize_adjacency(adjacency: SparseAdjacency) -> NormalizedAdjacency:
+def normalize_adjacency(adjacency: SparseAdjacency) -> SparseAdjacency:
     """Symmetrize, add self-loops, and degree-normalize the adjacency.
 
     With S the symmetrized edge set, returns the matrix whose (u, v) entry is
@@ -199,7 +162,7 @@ def normalize_adjacency(adjacency: SparseAdjacency) -> NormalizedAdjacency:
     counts = np.bincount(rows, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return NormalizedAdjacency(n=n, indptr=indptr, indices=cols, weights=weights)
+    return SparseAdjacency(n=n, indptr=indptr, indices=cols, weights=weights)
 
 
 def build_layout(log: ObjectCentricLog) -> FeatureLayout:
@@ -344,54 +307,3 @@ def encode_log(log: ObjectCentricLog, scale_numeric: bool = True) -> EncodedGrap
         event_ids=log.event_ids(),
     )
 
-
-def layout_to_json(layout: FeatureLayout) -> str:
-    """Canonical JSON sidecar so a trained model can re-encode a new log."""
-    doc = {
-        "version": 1,
-        "n_columns": layout.n_columns,
-        "groups": [
-            {
-                "name": group.name,
-                "kind": group.kind.value,
-                "start": group.start,
-                "stop": group.stop,
-                "vocabulary": list(group.vocabulary),
-                "min_value": group.min_value,
-                "max_value": group.max_value,
-            }
-            for group in layout.groups
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, ensure_ascii=False)
-
-
-def layout_from_json(text: str) -> FeatureLayout:
-    doc = json.loads(text)
-    groups = tuple(
-        FeatureGroup(
-            name=entry["name"],
-            kind=GroupKind(entry["kind"]),
-            start=entry["start"],
-            stop=entry["stop"],
-            vocabulary=tuple(entry["vocabulary"]),
-            min_value=entry["min_value"],
-            max_value=entry["max_value"],
-        )
-        for entry in doc["groups"]
-    )
-    return FeatureLayout(groups=groups, n_columns=doc["n_columns"])
-
-
-def layout_checksum(layout: FeatureLayout) -> str:
-    return hashlib.sha256(layout_to_json(layout).encode("utf-8")).hexdigest()
-
-
-def features_to_csv(features: np.ndarray, layout: FeatureLayout, event_ids: tuple[str, ...]) -> str:
-    """CSV dump of the feature matrix for debugging."""
-    header = ",".join(["event_id"] + layout.column_names())
-    lines = [header]
-    for row, event_id in enumerate(event_ids):
-        values = ",".join(repr(float(v)) for v in features[row])
-        lines.append(f"{event_id},{values}")
-    return "\n".join(lines)

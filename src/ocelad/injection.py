@@ -27,6 +27,8 @@ truth and never mutates the input log.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -41,6 +43,7 @@ TIMESTAMP_SHIFT = "timestamp_shift"
 RANDOM_ACTIVITY = "random_activity"
 ANOMALY_TYPES = (ATTRIBUTE_SWAP, TIMESTAMP_SHIFT, RANDOM_ACTIVITY)
 
+_TRUTH_HEADER = ["event_id", "label"]
 _SPAN_MARGIN = 0.05
 _MAX_REDRAWS = 10
 
@@ -55,10 +58,6 @@ class InvalidRateError(InjectionError):
 
 class NoAttributesError(InjectionError):
     """The log carries no attributes, so attribute swaps are impossible."""
-
-
-class ZeroDistanceError(InjectionError):
-    """Every other event has identical attributes; the swap would be a no-op."""
 
 
 class DegenerateSpanError(InjectionError):
@@ -98,20 +97,23 @@ class GroundTruth:
         return totals
 
     def to_csv(self) -> str:
-        lines = ["event_id,label"]
-        lines.extend(f"{event_id},{label}" for event_id, label in self.labels.items())
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(_TRUTH_HEADER)
+        writer.writerows(self.labels.items())
+        return out.getvalue()
 
     @classmethod
     def from_csv(cls, text: str) -> "GroundTruth":
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines or lines[0] != "event_id,label":
+        try:
+            rows = [row for row in csv.reader(io.StringIO(text, newline="\n")) if row]
+        except csv.Error as exc:
+            raise ValueError(f"malformed ground truth CSV: {exc}") from exc
+        if not rows or rows[0] != _TRUTH_HEADER:
             raise ValueError("ground truth CSV must start with 'event_id,label'")
-        labels: dict[str, str] = {}
-        for line in lines[1:]:
-            event_id, _, label = line.partition(",")
-            labels[event_id] = label
-        return cls(labels=labels)
+        if any(len(row) != 2 for row in rows[1:]):
+            raise ValueError("every ground truth row needs exactly an event id and a label")
+        return cls(labels=dict(rows[1:]))
 
 
 def plan_injection(n_original: int, rate: float = 0.10, seed: int = 0) -> InjectionPlan:
@@ -146,32 +148,14 @@ def _attribute_columns(log: ObjectCentricLog) -> np.ndarray:
 
 
 def _swap_source(
-    attr_matrix: np.ndarray,
-    target: int,
-    event_ids: tuple[str, ...],
-    candidates: np.ndarray | None = None,
+    attr_matrix: np.ndarray, target: int, event_ids: tuple[str, ...]
 ) -> tuple[int, float]:
-    """Index of the attribute-wise farthest other event; id breaks distance ties.
-
-    ``candidates`` optionally restricts the search to a subset of row indices
-    (the seeded subsample used on very large logs).
-    """
-    if candidates is None:
-        pool = attr_matrix
-        row_of = None
-    else:
-        pool = attr_matrix[candidates]
-        row_of = candidates
-    deltas = pool - attr_matrix[target]
+    """Index of the attribute-wise farthest other event; id breaks distance ties."""
+    deltas = attr_matrix - attr_matrix[target]
     distances = np.sqrt(np.sum(deltas * deltas, axis=1))
-    if row_of is None:
-        distances[target] = -np.inf
-    else:
-        distances[row_of == target] = -np.inf
+    distances[target] = -np.inf
     best = float(distances.max())
     tied = np.flatnonzero(distances == best)
-    if row_of is not None:
-        tied = row_of[tied]
     source = min(tied, key=lambda i: event_ids[i])
     return int(source), best
 
@@ -194,47 +178,6 @@ def _related_indices(
     if exclude is not None:
         related.discard(exclude)
     return sorted(related)
-
-
-def _swap_candidates(
-    n_events: int, rng: np.random.Generator | None, pool_size: int | None
-) -> np.ndarray | None:
-    """Seeded candidate subsample for the swap search on very large logs."""
-    if pool_size is None or n_events <= pool_size:
-        return None
-    if rng is None:
-        raise ValueError("a generator is required when subsampling swap candidates")
-    return np.sort(rng.choice(n_events, size=pool_size, replace=False))
-
-
-def inject_attribute_swap(
-    log: ObjectCentricLog,
-    target_event_id: str,
-    rng: np.random.Generator | None = None,
-    swap_pool_size: int | None = None,
-) -> ObjectCentricLog:
-    """Replace the target's attributes with those of its farthest-attribute peer.
-
-    Activity, timestamp and object references are untouched. The search is
-    exhaustive unless ``swap_pool_size`` caps it to a seeded subsample.
-    Raises ``ZeroDistanceError`` when no considered event differs in its
-    attributes.
-    """
-    index = {e.event_id: i for i, e in enumerate(log.events)}.get(target_event_id)
-    if index is None:
-        raise ValueError(f"unknown event id {target_event_id!r}")
-    if len(log.events) < 2:
-        raise ZeroDistanceError("need at least two events to swap attributes")
-    attr_matrix = _attribute_columns(log)
-    candidates = _swap_candidates(len(log.events), rng, swap_pool_size)
-    source, distance = _swap_source(attr_matrix, index, log.event_ids(), candidates)
-    if distance <= 0.0:
-        raise ZeroDistanceError(
-            f"all considered events have attributes identical to {target_event_id!r}"
-        )
-    events = list(log.events)
-    events[index] = replace(events[index], attributes=dict(log.events[source].attributes))
-    return assemble_log(events, log.objects)
 
 
 def _shift_window(events: list[Event], members: dict[str, list[int]], index: int) -> tuple[float, float]:
@@ -262,20 +205,6 @@ def _draw_shift(
         if drawn != old:
             return drawn
     raise DegenerateSpanError("could not draw a timestamp different from the original")
-
-
-def inject_timestamp_shift(
-    log: ObjectCentricLog, target_event_id: str, rng: np.random.Generator
-) -> ObjectCentricLog:
-    """Redraw the target's timestamp within its related events' extended time frame."""
-    index = {e.event_id: i for i, e in enumerate(log.events)}.get(target_event_id)
-    if index is None:
-        raise ValueError(f"unknown event id {target_event_id!r}")
-    events = list(log.events)
-    members = _object_members(events)
-    drawn = _draw_shift(events, members, index, rng)
-    events[index] = replace(events[index], timestamp=drawn)
-    return assemble_log(events, log.objects)
 
 
 def _fresh_activity(original_activities: frozenset[str] | set[str]) -> str:
@@ -315,26 +244,8 @@ def _make_random_activity_event(
     )
 
 
-def inject_random_activity(
-    log: ObjectCentricLog, rng: np.random.Generator
-) -> tuple[ObjectCentricLog, str]:
-    """Insert one event with an activity foreign to the process; returns (log, new id)."""
-    if not log.events:
-        raise InsufficientCandidatesError("cannot anchor an injection in an empty log")
-    events = list(log.events)
-    members = _object_members(events)
-    anchor = int(rng.integers(0, len(events)))
-    activity = _fresh_activity(log.activities)
-    event_id, _ = _fresh_event_id({e.event_id for e in events}, 1)
-    new_event = _make_random_activity_event(events, members, anchor, rng, activity, event_id)
-    events.append(new_event)
-    return assemble_log(events, log.objects), event_id
-
-
 def inject_all(
-    log: ObjectCentricLog,
-    plan: InjectionPlan,
-    swap_pool_size: int | None = None,
+    log: ObjectCentricLog, plan: InjectionPlan
 ) -> tuple[ObjectCentricLog, GroundTruth]:
     """Apply the full plan: attribute swaps, then timestamp shifts, then random activities.
 
@@ -351,12 +262,10 @@ def inject_all(
 
     if plan.attr_swap > 0:
         attr_matrix = _attribute_columns(log)
-        candidates = _swap_candidates(n_original, rng, swap_pool_size)
+        event_ids = log.event_ids()
         chosen: list[tuple[int, int]] = []
         for index in rng.permutation(n_original):
-            source, distance = _swap_source(
-                attr_matrix, int(index), log.event_ids(), candidates
-            )
+            source, distance = _swap_source(attr_matrix, int(index), event_ids)
             if distance > 0.0:
                 chosen.append((int(index), source))
                 if len(chosen) == plan.attr_swap:

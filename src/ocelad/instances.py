@@ -37,14 +37,6 @@ class ProcessInstanceSet:
     instances: tuple[ProcessInstance, ...]
 
 
-@dataclass(frozen=True)
-class InstanceStats:
-    count: int
-    min_events: int | None
-    max_events: int | None
-    mean_events: float | None
-
-
 class UnionFind:
     """Disjoint sets over 0..n-1 with path compression and union by size."""
 
@@ -124,39 +116,3 @@ def build_instances(log: ObjectCentricLog) -> ProcessInstanceSet:
     )
     return ProcessInstanceSet(instances=instances)
 
-
-def instance_stats(instance_set: ProcessInstanceSet) -> InstanceStats:
-    """Count and min/max/mean events per instance; None aggregates when empty."""
-    sizes = [len(inst.node_indices) for inst in instance_set.instances]
-    if not sizes:
-        return InstanceStats(count=0, min_events=None, max_events=None, mean_events=None)
-    return InstanceStats(
-        count=len(sizes),
-        min_events=min(sizes),
-        max_events=max(sizes),
-        mean_events=sum(sizes) / len(sizes),
-    )
-
-
-def to_edge_list(instance_set: ProcessInstanceSet, log: ObjectCentricLog) -> str:
-    """Two-column tab-separated edge list (source id, target id), one edge per line."""
-    pairs = sorted(edge for inst in instance_set.instances for edge in inst.edges)
-    return "\n".join(
-        f"{log.events[u].event_id}\t{log.events[v].event_id}" for u, v in pairs
-    )
-
-
-def to_dot(instance_set: ProcessInstanceSet, log: ObjectCentricLog) -> str:
-    """GraphViz DOT rendering with one cluster per process instance."""
-    lines = ["digraph process_instances {"]
-    for number, inst in enumerate(instance_set.instances, start=1):
-        lines.append(f"  subgraph cluster_{number} {{")
-        lines.append(f'    label="instance {number}";')
-        for index in sorted(inst.node_indices):
-            event = log.events[index]
-            lines.append(f'    "{event.event_id}" [label="{event.event_id}\\n{event.activity}"];')
-        for u, v in sorted(inst.edges):
-            lines.append(f'    "{log.events[u].event_id}" -> "{log.events[v].event_id}";')
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import NormalizedAdjacency, SparseAdjacency
+from .encoding import SparseAdjacency
 
 
 class DimensionMismatchError(Exception):
@@ -35,7 +35,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def spmm(sparse: SparseAdjacency | NormalizedAdjacency, dense: np.ndarray) -> np.ndarray:
+def spmm(sparse: SparseAdjacency, dense: np.ndarray) -> np.ndarray:
     """Sparse (CSR) times dense product.
 
     Uses a segment-sum fast path when every row has at least one entry (true
@@ -51,7 +51,7 @@ def spmm(sparse: SparseAdjacency | NormalizedAdjacency, dense: np.ndarray) -> np
         )
     indptr = sparse.indptr
     indices = sparse.indices
-    weights = getattr(sparse, "weights", None)
+    weights = sparse.weights
 
     if indices.size == 0:
         return np.zeros((sparse.n, dense.shape[1]), dtype=np.float64)

@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
 logger = logging.getLogger(__name__)
 
@@ -50,6 +51,10 @@ class MissingFieldError(OcelError):
 
 class InvalidTimestampError(OcelError):
     """A timestamp value cannot be read as ISO-8601."""
+
+
+class DuplicateIdError(OcelError):
+    """Two events, two objects or two keys of one JSON object share an id."""
 
 
 class DanglingObjectRefError(OcelError):
@@ -89,14 +94,6 @@ class Event:
 class ObjectEntry:
     object_id: str
     object_type: str
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    """One validation finding, with a stable code and the offending id."""
-
-    code: str
-    message: str
 
 
 @dataclass(frozen=True)
@@ -152,12 +149,7 @@ def _coerce_attribute_value(event_id: str, name: str, raw: object) -> float | st
     if isinstance(raw, bool):
         return "true" if raw else "false"
     if isinstance(raw, (int, float)):
-        value = float(raw)
-        if not math.isfinite(value):
-            raise UnsupportedAttributeValueError(
-                f"event {event_id!r}: attribute {name!r} is not finite"
-            )
-        return value
+        return float(raw)
     if isinstance(raw, str):
         return raw
     raise UnsupportedAttributeValueError(
@@ -171,17 +163,21 @@ def _infer_schema(
     """Derive attribute kinds from observed values.
 
     An attribute is numeric iff every occurrence is a number; an attribute
-    with only text occurrences is categorical; a mix of the two is an error.
-    Declared but never-observed attributes default to categorical.
+    with only text occurrences is categorical; a mix of the two is an error,
+    and so is a number that is not finite. Declared but never-observed
+    attributes default to categorical.
     """
     kinds: dict[str, AttributeKind] = {}
     for event in events:
         for name, value in event.attributes.items():
-            kind = (
-                AttributeKind.NUMERIC
-                if isinstance(value, float)
-                else AttributeKind.CATEGORICAL
-            )
+            if isinstance(value, float):
+                if not math.isfinite(value):
+                    raise UnsupportedAttributeValueError(
+                        f"event {event.event_id!r}: attribute {name!r} is not finite"
+                    )
+                kind = AttributeKind.NUMERIC
+            else:
+                kind = AttributeKind.CATEGORICAL
             previous = kinds.get(name)
             if previous is None:
                 kinds[name] = kind
@@ -216,6 +212,52 @@ def _coerce_event_values(event: Event) -> Event:
     )
 
 
+def _checked_log(
+    events: tuple[Event, ...],
+    objects: tuple[ObjectEntry, ...],
+    declared_types: list[str],
+    declared_attrs: list[str],
+) -> ObjectCentricLog:
+    """The one place a log is built: checks every invariant, derives the rest."""
+    known_objects = {o.object_id for o in objects}
+    if len(known_objects) != len(objects):
+        duplicate = _first_duplicate(o.object_id for o in objects)
+        raise DuplicateIdError(f"object {duplicate!r} declared twice")
+    if len({e.event_id for e in events}) != len(events):
+        duplicate = _first_duplicate(e.event_id for e in events)
+        raise DuplicateIdError(f"event {duplicate!r} appears twice")
+    for event in events:
+        if not event.object_refs:
+            # An event tied to no object cannot be placed in any trace.
+            raise MissingFieldError(f"event {event.event_id!r}: empty object references")
+        missing = event.object_refs - known_objects
+        if missing:
+            raise DanglingObjectRefError(
+                f"event {event.event_id!r} references undeclared object(s) "
+                f"{sorted(missing)}"
+            )
+    return ObjectCentricLog(
+        events=events,
+        objects=objects,
+        object_types=frozenset(declared_types) | frozenset(o.object_type for o in objects),
+        activities=frozenset(e.activity for e in events),
+        schema=_infer_schema(events, declared_attrs),
+    )
+
+
+def _first_duplicate(ids: Iterable[str]) -> str:
+    return next(item for item, count in Counter(ids).items() if count > 1)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json.loads`` hook: a repeated key would silently keep only its last value."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        duplicate = _first_duplicate(key for key, _ in pairs)
+        raise DuplicateIdError(f"key {duplicate!r} appears twice in one JSON object")
+    return doc
+
+
 def assemble_log(
     events: list[Event] | tuple[Event, ...],
     objects: list[ObjectEntry] | tuple[ObjectEntry, ...],
@@ -225,25 +267,7 @@ def assemble_log(
     Raises the same typed errors as the parser when the parts are inconsistent.
     """
     events = tuple(_coerce_event_values(e) for e in events)
-    objects = tuple(objects)
-    known_objects = {o.object_id for o in objects}
-    for event in events:
-        if not event.object_refs:
-            raise MissingFieldError(f"event {event.event_id!r}: empty object references")
-        missing = event.object_refs - known_objects
-        if missing:
-            raise DanglingObjectRefError(
-                f"event {event.event_id!r} references undeclared object(s) "
-                f"{sorted(missing)}"
-            )
-    schema = _infer_schema(events, [])
-    return ObjectCentricLog(
-        events=events,
-        objects=objects,
-        object_types=frozenset(o.object_type for o in objects),
-        activities=frozenset(e.activity for e in events),
-        schema=schema,
-    )
+    return _checked_log(events, tuple(objects), [], [])
 
 
 def parse_ocel_json(data: bytes | str) -> ObjectCentricLog:
@@ -265,7 +289,9 @@ def parse_ocel_json(data: bytes | str) -> ObjectCentricLog:
         raise MalformedDocumentError(f"non-finite number {token!r} is not valid JSON")
 
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(
+            text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys
+        )
     except json.JSONDecodeError as exc:
         raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -304,7 +330,6 @@ def parse_ocel_json(data: bytes | str) -> ObjectCentricLog:
                 "object %r has undeclared type %r", object_id, object_type
             )
         objects.append(ObjectEntry(object_id=object_id, object_type=object_type))
-    known_objects = {o.object_id for o in objects}
 
     events_raw = doc.get("ocel:events", {})
     if not isinstance(events_raw, dict):
@@ -323,15 +348,7 @@ def parse_ocel_json(data: bytes | str) -> ObjectCentricLog:
         omap = body.get("ocel:omap")
         if not isinstance(omap, list):
             raise MissingFieldError(f"event {event_id!r}: missing ocel:omap")
-        if not omap:
-            # An event tied to no object cannot be placed in any trace.
-            raise MissingFieldError(f"event {event_id!r}: empty ocel:omap")
         refs = frozenset(str(ref) for ref in omap)
-        dangling = refs - known_objects
-        if dangling:
-            raise DanglingObjectRefError(
-                f"event {event_id!r} references undeclared object(s) {sorted(dangling)}"
-            )
         vmap = body.get("ocel:vmap", {})
         if not isinstance(vmap, dict):
             raise MalformedDocumentError(f"event {event_id!r}: ocel:vmap must be an object")
@@ -352,15 +369,7 @@ def parse_ocel_json(data: bytes | str) -> ObjectCentricLog:
             )
         )
 
-    schema = _infer_schema(tuple(events), declared_attrs)
-    observed_types = frozenset(o.object_type for o in objects)
-    return ObjectCentricLog(
-        events=tuple(events),
-        objects=tuple(objects),
-        object_types=frozenset(declared_types) | observed_types,
-        activities=frozenset(e.activity for e in events),
-        schema=schema,
-    )
+    return _checked_log(tuple(events), tuple(objects), declared_types, declared_attrs)
 
 
 def write_ocel_json(log: ObjectCentricLog) -> bytes:
@@ -386,96 +395,3 @@ def write_ocel_json(log: ObjectCentricLog) -> bytes:
     }
     return json.dumps(doc, indent=2, ensure_ascii=False).encode("utf-8")
 
-
-def validate_log(log: ObjectCentricLog) -> list[Diagnostic]:
-    """Check every log invariant; returns one diagnostic per violation.
-
-    An empty result means the log is valid. Never raises.
-    """
-    diagnostics: list[Diagnostic] = []
-    seen_events: set[str] = set()
-    seen_objects: set[str] = set()
-    object_ids = {o.object_id for o in log.objects}
-
-    for entry in log.objects:
-        if entry.object_id in seen_objects:
-            diagnostics.append(
-                Diagnostic("DuplicateObjectId", f"object {entry.object_id!r} declared twice")
-            )
-        seen_objects.add(entry.object_id)
-        if entry.object_type not in log.object_types:
-            diagnostics.append(
-                Diagnostic(
-                    "UnknownObjectType",
-                    f"object {entry.object_id!r} has undeclared type {entry.object_type!r}",
-                )
-            )
-
-    kinds_seen: dict[str, AttributeKind] = {}
-    for event in log.events:
-        if event.event_id in seen_events:
-            diagnostics.append(
-                Diagnostic("DuplicateEventId", f"event {event.event_id!r} appears twice")
-            )
-        seen_events.add(event.event_id)
-        if event.activity not in log.activities:
-            diagnostics.append(
-                Diagnostic(
-                    "UnknownActivity",
-                    f"event {event.event_id!r} has undeclared activity {event.activity!r}",
-                )
-            )
-        if not event.object_refs:
-            diagnostics.append(
-                Diagnostic("EmptyObjectRefs", f"event {event.event_id!r} references no objects")
-            )
-        for ref in sorted(event.object_refs - object_ids):
-            diagnostics.append(
-                Diagnostic(
-                    "DanglingObjectRef",
-                    f"event {event.event_id!r} references undeclared object {ref!r}",
-                )
-            )
-        for name in sorted(event.attributes):
-            value = event.attributes[name]
-            kind = (
-                AttributeKind.NUMERIC
-                if isinstance(value, float)
-                else AttributeKind.CATEGORICAL
-            )
-            declared = log.schema.get(name)
-            if declared is None:
-                diagnostics.append(
-                    Diagnostic(
-                        "UnknownAttribute",
-                        f"event {event.event_id!r} uses attribute {name!r} not in schema",
-                    )
-                )
-            elif declared is not kind:
-                diagnostics.append(
-                    Diagnostic(
-                        "InconsistentAttributeKind",
-                        f"event {event.event_id!r}: attribute {name!r} is {kind.value}, "
-                        f"schema says {declared.value}",
-                    )
-                )
-            previous = kinds_seen.get(name)
-            if previous is not None and previous is not kind and declared is kind:
-                # Mixed observations that happen to straddle the schema kind.
-                diagnostics.append(
-                    Diagnostic(
-                        "InconsistentAttributeKind",
-                        f"attribute {name!r} observed as both numeric and categorical "
-                        f"(event {event.event_id!r})",
-                    )
-                )
-            kinds_seen.setdefault(name, kind)
-            if isinstance(value, float) and not math.isfinite(value):
-                diagnostics.append(
-                    Diagnostic(
-                        "NonFiniteNumeric",
-                        f"event {event.event_id!r}: attribute {name!r} is not finite",
-                    )
-                )
-
-    return diagnostics

@@ -9,6 +9,8 @@ the others break score ties by event index.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -89,6 +91,8 @@ def quantile(values: Sequence[float] | np.ndarray, q: float) -> float:
 
 def iqr_threshold(scores: Sequence[float] | np.ndarray, k_factor: float = 1.5) -> ThresholdResult:
     """Threshold tau = Q3 + k * (Q3 - Q1) over the score distribution."""
+    if not (math.isfinite(k_factor) and k_factor >= 0.0):
+        raise ValueError(f"k_factor must be finite and >= 0, got {k_factor}")
     q1 = quantile(scores, 0.25)
     q3 = quantile(scores, 0.75)
     iqr = q3 - q1
@@ -333,12 +337,13 @@ def report_from_json(text: str) -> DetectionReport:
 def report_to_csv(report: DetectionReport) -> str:
     """CSV serialization: event id, score, label, and truth when present."""
     with_truth = report.truth is not None
-    header = "event_id,score,label" + (",truth" if with_truth else "")
-    lines = [header]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["event_id", "score", "label"] + (["truth"] if with_truth else []))
     for index, event_id in enumerate(report.event_ids):
         label = "anomalous" if report.labels[index] else NORMAL_LABEL
-        line = f"{event_id},{float(report.scores[index])!r},{label}"
+        row = [event_id, repr(float(report.scores[index])), label]
         if with_truth:
-            line += f",{report.truth[index]}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+            row.append(report.truth[index])
+        writer.writerow(row)
+    return out.getvalue()

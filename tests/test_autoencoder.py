@@ -5,16 +5,13 @@ import pytest
 
 from ocelad.autoencoder import (
     GcnaeModel,
-    LayoutMismatchError,
     NonFiniteLossError,
     TrainConfig,
     backward,
     forward,
     forward_cached,
     init_model,
-    load_model,
     loss,
-    save_model,
     score_events,
     train,
 )
@@ -196,6 +193,10 @@ class TestTrain:
             TrainConfig(hidden1=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+        for adam in ({"beta1": 1.0}, {"beta1": -0.1}, {"beta2": float("nan")},
+                     {"epsilon": 0.0}, {"epsilon": float("nan")}):
+            with pytest.raises(ValueError):
+                TrainConfig(**adam)
 
 
 class TestScores:
@@ -301,23 +302,3 @@ class TestDisconnectedIndependence:
         scores_combined = score_events(combined.features, xhat_combined, combined.layout)
         np.testing.assert_allclose(scores_combined[:6], scores_base, atol=1e-12)
 
-
-class TestModelPersistence:
-    def test_round_trip(self, tmp_path, golden_log):
-        graph = encode_log(golden_log)
-        model = init_model(graph.layout.n_columns, TrainConfig(seed=2))
-        path = tmp_path / "model.json"
-        save_model(model, graph.layout, path)
-        loaded = load_model(path, graph.layout)
-        np.testing.assert_array_equal(loaded.w0, model.w0)
-        np.testing.assert_array_equal(loaded.w1, model.w1)
-        np.testing.assert_array_equal(loaded.w2, model.w2)
-
-    def test_layout_mismatch_rejected(self, tmp_path, golden_log):
-        graph = encode_log(golden_log)
-        model = init_model(graph.layout.n_columns, TrainConfig(seed=2))
-        path = tmp_path / "model.json"
-        save_model(model, graph.layout, path)
-        other = toy_graph(make_rng(1), n=3, k=2).layout
-        with pytest.raises(LayoutMismatchError):
-            load_model(path, other)

@@ -1,6 +1,10 @@
 """Command-line interface: artifacts, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +74,11 @@ class TestGenerate:
         n_flag = len(parse_ocel_json(flag_wins.read_bytes()).events)
         assert n_flag > n_config
 
+    def test_config_may_hold_other_commands_settings(self, tmp_path):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"orders": 2, "epochs": 3, "rate": 0.2}))
+        assert run(["generate", "--config", str(config), "-o", str(tmp_path / "l.jsonocel")]) == 0
+
 
 class TestInject:
     def test_contaminates_with_truth(self, tmp_path, small_log_path):
@@ -137,6 +146,22 @@ class TestDetect:
 
     def test_missing_input(self, tmp_path):
         assert run(self.detect_args(tmp_path / "ghost.jsonocel", tmp_path / "r.json")) == 2
+
+    def test_unknown_config_key_exits_before_training(
+        self, tmp_path, small_log_path, monkeypatch, capsys
+    ):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"epoch": 3}))
+        monkeypatch.setattr(cli, "train", lambda graph, config: pytest.fail("trained"))
+        args = ["detect", "-i", str(small_log_path), "-o", str(tmp_path / "r.json"),
+                "--config", str(config)]
+        assert run(args) == 2
+        assert "epoch" in capsys.readouterr().err
+
+    def test_non_finite_k_factor_is_config_error(self, tmp_path, small_log_path):
+        args = self.detect_args(small_log_path, tmp_path / "r.json") + ["--k-factor", "nan"]
+        assert run(args) == 2
+        assert not (tmp_path / "r.json").exists()
 
     def test_non_finite_loss_exit_code(self, tmp_path, small_log_path, monkeypatch):
         def explode(graph, config):
@@ -224,6 +249,31 @@ class TestPipeline:
         for report_name in manifest["artifacts"]["reports"]:
             assert (out_dir / report_name).exists()
         assert "mean +/- std" in capsys.readouterr().out
+
+    def test_byte_identical_across_processes(self, tmp_path):
+        # String hashing differs between the two processes; the BLAS thread
+        # count is pinned because it changes the summation order of matmul.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out_dir = tmp_path / f"hash{hash_seed}"
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": hash_seed,
+                "OPENBLAS_NUM_THREADS": "1",
+                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            }
+            subprocess.run(
+                [sys.executable, "-m", "ocelad.cli", "pipeline", "-o", str(out_dir),
+                 "--orders", "60", "--seed", "5", "--repeat", "1", "--epochs", "120"],
+                env=env, check=True, capture_output=True,
+            )
+            outputs.append(
+                [(out_dir / name).read_bytes() for name in
+                 ("contaminated.jsonocel", "truth.csv", "report_seed7.json",
+                  "report_seed7.csv", "metrics.json")]
+            )
+        assert outputs[0] == outputs[1]
 
     def test_repeat_must_be_positive(self, tmp_path):
         code = run(["pipeline", "-o", str(tmp_path / "x"), "--orders", "30", "--repeat", "0"])

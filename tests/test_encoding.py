@@ -11,10 +11,6 @@ from ocelad.encoding import (
     build_layout,
     encode_features,
     encode_log,
-    features_to_csv,
-    layout_checksum,
-    layout_from_json,
-    layout_to_json,
     normalize_adjacency,
 )
 from ocelad.generator import GenConfig, generate
@@ -198,21 +194,6 @@ class TestLayout:
         attr1 = next(g for g in layout.groups if g.name == "Attr1")
         assert (attr1.min_value, attr1.max_value) == (0.12, 0.89)
 
-    def test_deterministic_serialization(self, golden_log):
-        a = layout_to_json(build_layout(golden_log))
-        b = layout_to_json(build_layout(golden_log))
-        assert a == b
-
-    def test_json_round_trip(self, golden_log):
-        layout = build_layout(golden_log)
-        assert layout_from_json(layout_to_json(layout)) == layout
-
-    def test_checksum_tracks_layout(self, golden_log):
-        layout = build_layout(golden_log)
-        other = build_layout(make_log([("e1", "a", 0, ["o1"], {})], {"o1": "T"}))
-        assert layout_checksum(layout) != layout_checksum(other)
-        assert layout_checksum(layout) == layout_checksum(layout)
-
 
 class TestFeatures:
     def test_golden_matrix_unscaled(self, golden_log):
@@ -302,9 +283,3 @@ class TestEncodeLog:
         assert graph.normalized.n == n
         assert graph.event_ids == golden_log.event_ids()
 
-    def test_csv_export(self, golden_log):
-        graph = encode_log(golden_log, scale_numeric=False)
-        text = features_to_csv(graph.features, graph.layout, graph.event_ids)
-        lines = text.splitlines()
-        assert lines[0].startswith("event_id,activity=act1")
-        assert len(lines) == 9

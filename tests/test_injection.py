@@ -1,4 +1,4 @@
-"""Injection planning, the three anomaly operators, and the full harness."""
+"""Injection planning, the three anomaly types, and the full harness."""
 
 import pytest
 
@@ -6,22 +6,16 @@ from ocelad.injection import (
     ATTRIBUTE_SWAP,
     RANDOM_ACTIVITY,
     TIMESTAMP_SHIFT,
-    DegenerateSpanError,
     GroundTruth,
     InjectionPlan,
     InsufficientCandidatesError,
     InvalidRateError,
     NoAttributesError,
-    ZeroDistanceError,
     inject_all,
-    inject_attribute_swap,
-    inject_random_activity,
-    inject_timestamp_shift,
     plan_injection,
 )
 from ocelad.instances import build_instances, build_traces
-from ocelad.numerics import make_rng
-from ocelad.ocel import validate_log
+from ocelad.ocel import parse_ocel_json, write_ocel_json
 
 from conftest import GOLDEN_ROWS, make_log
 
@@ -80,6 +74,26 @@ def swap_fixture_log():
     )
 
 
+def single_type_plan(seed=0, attr_swap=0, timestamp_shift=0, random_activity=0):
+    return InjectionPlan(
+        rate=0.1,
+        attr_swap=attr_swap,
+        timestamp_shift=timestamp_shift,
+        random_activity=random_activity,
+        seed=seed,
+    )
+
+
+def swap_every_event(log):
+    """Swap all events: each takes its farthest peer's attributes, whatever the order."""
+    contaminated, _ = inject_all(log, single_type_plan(attr_swap=len(log.events)))
+    return contaminated
+
+
+def labelled(truth, label):
+    return [event_id for event_id, value in truth.labels.items() if value == label]
+
+
 class TestAttributeSwap:
     def test_golden_target_takes_farthest_attributes(self, golden_log):
         # Verify against an in-test oracle on the min-max scaled attributes.
@@ -96,27 +110,43 @@ class TestAttributeSwap:
             if distance > best_d:
                 best_j, best_d = j, distance
         assert best_j == 4  # e5 maximizes the scaled distance from e1
-        mutated = inject_attribute_swap(golden_log, "e1")
+        mutated = swap_every_event(golden_log)
         assert mutated.events[0].attributes == golden_log.events[4].attributes
 
     def test_five_event_log_matches_scan_oracle(self):
         log = swap_fixture_log()
-        mutated = inject_attribute_swap(log, "e1")
+        mutated = swap_every_event(log)
         # Oracle: scaled coordinates x/5, y/5; distance from e1=(0,0) is
         # maximal for e3=(1,1).
         assert mutated.events[0].attributes == log.events[2].attributes
 
+    def test_event_id_breaks_distance_ties(self):
+        # "zz" and "aa" lie at the same scaled distance 1 from "t"; the
+        # smaller id wins although "zz" comes first in the log.
+        log = make_log(
+            [
+                ("t", "a", 0, ["o1"], {"x": 0.0, "y": 0.0}),
+                ("zz", "a", 1, ["o1"], {"x": 1.0, "y": 0.0}),
+                ("aa", "a", 2, ["o1"], {"x": 0.0, "y": 1.0}),
+            ],
+            {"o1": "T"},
+        )
+        mutated = swap_every_event(log)
+        assert mutated.events[0].attributes == log.events[2].attributes
+
     def test_only_attributes_change(self):
         log = swap_fixture_log()
-        mutated = inject_attribute_swap(log, "e2")
-        original = log.events[1]
-        swapped = mutated.events[1]
-        assert swapped.activity == original.activity
-        assert swapped.timestamp == original.timestamp
-        assert swapped.object_refs == original.object_refs
-        assert swapped.attributes != original.attributes
-        for index in (0, 2, 3, 4):
-            assert mutated.events[index] == log.events[index]
+        for seed in range(10):
+            mutated, truth = inject_all(log, single_type_plan(seed, attr_swap=1))
+            (target_id,) = labelled(truth, ATTRIBUTE_SWAP)
+            for original, swapped in zip(log.events, mutated.events):
+                if swapped.event_id != target_id:
+                    assert swapped == original
+                    continue
+                assert swapped.activity == original.activity
+                assert swapped.timestamp == original.timestamp
+                assert swapped.object_refs == original.object_refs
+                assert swapped.attributes != original.attributes
 
     def test_identical_attributes_rejected(self):
         log = make_log(
@@ -126,33 +156,23 @@ class TestAttributeSwap:
             ],
             {"o1": "T"},
         )
-        with pytest.raises(ZeroDistanceError):
-            inject_attribute_swap(log, "e1")
+        with pytest.raises(InsufficientCandidatesError):
+            inject_all(log, single_type_plan(attr_swap=1))
 
     def test_no_attributes(self):
         log = make_log(
             [("e1", "a", 0, ["o1"], {}), ("e2", "a", 1, ["o1"], {})], {"o1": "T"}
         )
         with pytest.raises(NoAttributesError):
-            inject_attribute_swap(log, "e1")
+            inject_all(log, single_type_plan(attr_swap=1))
 
-    def test_unknown_target(self):
-        with pytest.raises(ValueError):
-            inject_attribute_swap(swap_fixture_log(), "ghost")
 
-    def test_seeded_candidate_subsample(self):
-        log = swap_fixture_log()
-        first = inject_attribute_swap(log, "e1", make_rng(3), swap_pool_size=3)
-        second = inject_attribute_swap(log, "e1", make_rng(3), swap_pool_size=3)
-        assert first == second
-        # The chosen source still comes from the log and differs from e1.
-        assert dict(first.events[0].attributes) in [
-            dict(e.attributes) for e in log.events[1:]
-        ]
-
-    def test_subsample_requires_generator(self):
-        with pytest.raises(ValueError):
-            inject_attribute_swap(swap_fixture_log(), "e1", None, swap_pool_size=2)
+def shifted(log, seed):
+    """(index, new timestamp) of the one event a single-shift plan moves."""
+    mutated, truth = inject_all(log, single_type_plan(seed, timestamp_shift=1))
+    (target_id,) = labelled(truth, TIMESTAMP_SHIFT)
+    index = next(i for i, e in enumerate(mutated.events) if e.event_id == target_id)
+    return index, mutated.events[index].timestamp
 
 
 class TestTimestampShift:
@@ -168,54 +188,68 @@ class TestTimestampShift:
 
     def test_sample_within_extended_window(self):
         log = self.shift_log()
-        drawn = []
+        outside = 0
         for seed in range(200):
-            mutated = inject_timestamp_shift(log, "target", make_rng(seed))
-            drawn.append(mutated.events[1].timestamp)
-        assert all(90 <= ts <= 310 for ts in drawn)
-        assert any(ts < 100 or ts > 300 for ts in drawn)
-        assert all(ts != 200 for ts in drawn)
+            index, drawn = shifted(log, seed)
+            related = [e.timestamp for i, e in enumerate(log.events) if i != index]
+            low, high = min(related), max(related)
+            margin = 0.05 * (high - low)
+            assert low - margin <= drawn <= high + margin
+            assert drawn != log.events[index].timestamp
+            outside += drawn < low or drawn > high
+        assert outside > 0
 
     def test_degenerate_span_single_related_event(self):
+        # "a" and "c" each share an object with "b" only, so their related
+        # events span no time; "b" is the only event that can be shifted.
         log = make_log(
-            [("a", "act", 100, ["o1"], {}), ("target", "act", 200, ["o1"], {})],
-            {"o1": "T"},
+            [
+                ("a", "act", 100, ["o1"], {}),
+                ("b", "act", 200, ["o1", "o2"], {}),
+                ("c", "act", 300, ["o2"], {}),
+            ],
+            {"o1": "T", "o2": "T"},
         )
-        with pytest.raises(DegenerateSpanError):
-            inject_timestamp_shift(log, "target", make_rng(0))
+        assert {shifted(log, seed)[0] for seed in range(20)} == {1}
 
     def test_no_related_events(self):
         log = make_log(
             [("a", "act", 100, ["o1"], {}), ("target", "act", 200, ["o2"], {})],
             {"o1": "T", "o2": "T"},
         )
-        with pytest.raises(DegenerateSpanError):
-            inject_timestamp_shift(log, "target", make_rng(0))
+        with pytest.raises(InsufficientCandidatesError):
+            inject_all(log, single_type_plan(timestamp_shift=1))
 
     def test_trace_order_changes_with_positive_probability(self):
         log = self.shift_log()
         original_order = build_traces(log)["o1"].event_indices
         changes = 0
         for seed in range(100):
-            mutated = inject_timestamp_shift(log, "target", make_rng(seed))
+            mutated, _ = inject_all(log, single_type_plan(seed, timestamp_shift=1))
             if build_traces(mutated)["o1"].event_indices != original_order:
                 changes += 1
         assert changes >= 1
 
 
+def with_random_activity(log, seed):
+    """The log with one random-activity event appended, and that event."""
+    mutated, truth = inject_all(log, single_type_plan(seed, random_activity=1))
+    (new_id,) = labelled(truth, RANDOM_ACTIVITY)
+    assert mutated.events[-1].event_id == new_id
+    return mutated, mutated.events[-1]
+
+
 class TestRandomActivity:
     def test_label_foreign_to_original_process(self, golden_log):
-        mutated, new_id = inject_random_activity(golden_log, make_rng(1))
-        new_event = next(e for e in mutated.events if e.event_id == new_id)
+        _, new_event = with_random_activity(golden_log, 1)
         assert new_event.activity not in golden_log.activities
         assert new_event.activity == "anomalous_act_1"
 
     def test_lands_in_anchor_instance(self, golden_log):
         for seed in range(100):
-            mutated, new_id = inject_random_activity(golden_log, make_rng(seed))
+            mutated, _ = with_random_activity(golden_log, seed)
             instances = build_instances(mutated)
             index = len(mutated.events) - 1
-            assert mutated.events[index].event_id == new_id
             home = next(
                 inst for inst in instances.instances if index in inst.node_indices
             )
@@ -230,17 +264,15 @@ class TestRandomActivity:
 
     def test_single_event_log(self):
         log = make_log([("only", "act", 50, ["o1"], {"x": 3.0})], {"o1": "T"})
-        mutated, new_id = inject_random_activity(log, make_rng(7))
-        new_event = mutated.events[-1]
-        assert new_event.event_id == new_id
+        _, new_event = with_random_activity(log, 7)
+        assert new_event.event_id == "injected_1"
         assert new_event.object_refs == log.events[0].object_refs
         assert dict(new_event.attributes) == {"x": 3.0}
         assert new_event.timestamp == 50
 
     def test_attributes_come_from_related_pool(self, golden_log):
         for seed in range(30):
-            mutated, new_id = inject_random_activity(golden_log, make_rng(seed))
-            new_event = mutated.events[-1]
+            _, new_event = with_random_activity(golden_log, seed)
             pool_attrs = [
                 dict(e.attributes)
                 for e in golden_log.events
@@ -281,7 +313,7 @@ class TestInjectAll:
         log = thirty_event_log()
         plan = InjectionPlan(rate=0.1, attr_swap=3, timestamp_shift=3, random_activity=3, seed=5)
         contaminated, _ = inject_all(log, plan)
-        assert validate_log(contaminated) == []
+        assert parse_ocel_json(write_ocel_json(contaminated)) == contaminated
 
     def test_deterministic(self):
         log = thirty_event_log()
@@ -333,9 +365,18 @@ class TestInjectAll:
 
 class TestGroundTruth:
     def test_csv_round_trip(self):
-        truth = GroundTruth(labels={"e1": "normal", "e2": ATTRIBUTE_SWAP, "x9": RANDOM_ACTIVITY})
-        again = GroundTruth.from_csv(truth.to_csv())
+        truth = GroundTruth(
+            labels={"a,b": ATTRIBUTE_SWAP, 'q"x': "normal", "e2": ATTRIBUTE_SWAP,
+                    "x9": RANDOM_ACTIVITY}
+        )
+        text = truth.to_csv()
+        assert text.endswith("\ne2,attr_swap\nx9,random_activity\n")
+        again = GroundTruth.from_csv(text)
         assert again == truth
+
+    def test_csv_row_without_label_rejected(self):
+        with pytest.raises(ValueError):
+            GroundTruth.from_csv("event_id,label\nlonely\n")
 
     def test_csv_header_required(self):
         with pytest.raises(ValueError):

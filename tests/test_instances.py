@@ -8,9 +8,6 @@ from ocelad.instances import (
     build_edges,
     build_instances,
     build_traces,
-    instance_stats,
-    to_dot,
-    to_edge_list,
 )
 from ocelad.numerics import make_rng
 
@@ -149,46 +146,3 @@ class TestInstances:
     def test_deterministic(self, golden_log):
         assert build_instances(golden_log) == build_instances(golden_log)
 
-
-class TestStats:
-    def test_golden(self, golden_log):
-        stats = instance_stats(build_instances(golden_log))
-        assert (stats.count, stats.min_events, stats.max_events, stats.mean_events) == (
-            2,
-            4,
-            4,
-            4.0,
-        )
-
-    def test_single_instance(self):
-        rows = [(f"e{i}", "a", i, ["hub"], {}) for i in range(5)]
-        stats = instance_stats(build_instances(make_log(rows, {"hub": "T"})))
-        assert (stats.count, stats.min_events, stats.max_events, stats.mean_events) == (
-            1,
-            5,
-            5,
-            5.0,
-        )
-
-    def test_empty(self):
-        from ocelad.instances import ProcessInstanceSet
-
-        stats = instance_stats(ProcessInstanceSet(instances=()))
-        assert stats.count == 0
-        assert stats.min_events is None
-        assert stats.max_events is None
-        assert stats.mean_events is None
-
-
-class TestExports:
-    def test_edge_list(self, golden_log):
-        text = to_edge_list(build_instances(golden_log), golden_log)
-        lines = set(text.splitlines())
-        assert "e1\te4" in lines
-        assert len(lines) == len(GOLDEN_EDGES)
-
-    def test_dot(self, golden_log):
-        text = to_dot(build_instances(golden_log), golden_log)
-        assert text.startswith("digraph")
-        assert '"e4" -> "e7";' in text
-        assert text.count("subgraph") == 2

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ocelad.encoding import NormalizedAdjacency, SparseAdjacency
+from ocelad.encoding import SparseAdjacency
 from ocelad.numerics import (
     AdamState,
     DimensionMismatchError,
@@ -43,15 +43,13 @@ def random_sparse(rng, n, weighted):
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount([u for u, _ in pairs], minlength=n), out=indptr[1:])
     indices = np.array([v for _, v in pairs], dtype=np.int64)
-    if weighted:
-        weights = rng.random(len(pairs)) + 0.1
-        return NormalizedAdjacency(n=n, indptr=indptr, indices=indices, weights=weights)
-    return SparseAdjacency(n=n, indptr=indptr, indices=indices)
+    weights = rng.random(len(pairs)) + 0.1 if weighted else None
+    return SparseAdjacency(n=n, indptr=indptr, indices=indices, weights=weights)
 
 
 def sparse_to_dense(sparse):
     dense = np.zeros((sparse.n, sparse.n))
-    weights = getattr(sparse, "weights", None)
+    weights = sparse.weights
     for row in range(sparse.n):
         for pos in range(sparse.indptr[row], sparse.indptr[row + 1]):
             dense[row, sparse.indices[pos]] = 1.0 if weights is None else weights[pos]
@@ -85,7 +83,7 @@ class TestMatmul:
 
 class TestSpmm:
     def test_isolated_node_identity(self):
-        sparse = NormalizedAdjacency(
+        sparse = SparseAdjacency(
             n=1,
             indptr=np.array([0, 1], dtype=np.int64),
             indices=np.array([0], dtype=np.int64),
@@ -95,7 +93,7 @@ class TestSpmm:
         np.testing.assert_array_equal(spmm(sparse, d), d)
 
     def test_two_node_half_matrix(self):
-        sparse = NormalizedAdjacency(
+        sparse = SparseAdjacency(
             n=2,
             indptr=np.array([0, 2, 4], dtype=np.int64),
             indices=np.array([0, 1, 0, 1], dtype=np.int64),

@@ -1,4 +1,4 @@
-"""Parser, writer, and validation tests for the log model."""
+"""Parser, writer, and assembly checks for the log model."""
 
 import json
 import logging
@@ -10,6 +10,7 @@ import pytest
 from ocelad.ocel import (
     AttributeKind,
     DanglingObjectRefError,
+    DuplicateIdError,
     Event,
     InconsistentAttributeKindError,
     InvalidTimestampError,
@@ -22,7 +23,6 @@ from ocelad.ocel import (
     format_timestamp,
     parse_ocel_json,
     parse_timestamp,
-    validate_log,
     write_ocel_json,
 )
 
@@ -110,6 +110,31 @@ class TestParse:
         with pytest.raises(DanglingObjectRefError):
             parse_ocel_json(json.dumps(doc).encode())
 
+    def test_duplicate_event_key_rejected(self):
+        # json.loads alone keeps the last "e1" and drops the first.
+        body = json.dumps(event_body())
+        text = (
+            '{"ocel:events": {"e1": %s, "e1": %s}, "ocel:objects": {"o1": {"ocel:type": "A"}}}'
+            % (body, body)
+        )
+        with pytest.raises(DuplicateIdError):
+            parse_ocel_json(text)
+
+    def test_duplicate_object_key_rejected(self):
+        text = '{"ocel:objects": {"o1": {"ocel:type": "A"}, "o1": {"ocel:type": "B"}}}'
+        with pytest.raises(DuplicateIdError):
+            parse_ocel_json(text)
+
+    def test_overflowing_number_rejected(self):
+        doc = doc_with(
+            events={"e1": event_body(vmap={"x": 1.0})},
+            objects={"o1": {"ocel:type": "A"}},
+            attrs=["x"],
+        )
+        text = json.dumps(doc).replace("1.0", "1e999")
+        with pytest.raises(UnsupportedAttributeValueError):
+            parse_ocel_json(text)
+
     def test_object_missing_type(self):
         doc = doc_with(objects={"o1": {}})
         with pytest.raises(MissingFieldError):
@@ -195,7 +220,7 @@ class TestParse:
             except OcelError:
                 continue
             assert isinstance(log, ObjectCentricLog)
-            assert validate_log(log) == []
+            assert parse_ocel_json(write_ocel_json(log)) == log
 
 
 class TestTimestamps:
@@ -252,76 +277,49 @@ class TestRoundTrip:
 
 
 class TestValidate:
+    """The checks that the parser and ``assemble_log`` share."""
+
     def test_golden_clean(self, golden_log):
-        assert validate_log(golden_log) == []
+        assert assemble_log(golden_log.events, golden_log.objects) == golden_log
 
     def test_duplicate_event_id(self, golden_log):
-        events = golden_log.events + (golden_log.events[0],)
-        bad = ObjectCentricLog(
-            events=events,
-            objects=golden_log.objects,
-            object_types=golden_log.object_types,
-            activities=golden_log.activities,
-            schema=golden_log.schema,
-        )
-        assert "DuplicateEventId" in {d.code for d in validate_log(bad)}
+        with pytest.raises(DuplicateIdError):
+            assemble_log(golden_log.events + (golden_log.events[0],), golden_log.objects)
 
     def test_mixed_kind_diagnostic(self):
         events = (
             Event("e1", "a", 0, frozenset({"o1"}), {"x": 1.0}),
             Event("e2", "a", 1, frozenset({"o1"}), {"x": "text"}),
         )
-        bad = ObjectCentricLog(
-            events=events,
-            objects=(ObjectEntry("o1", "T"),),
-            object_types=frozenset({"T"}),
-            activities=frozenset({"a"}),
-            schema={"x": AttributeKind.NUMERIC},
-        )
-        codes = [d.code for d in validate_log(bad)]
-        assert codes.count("InconsistentAttributeKind") >= 1
+        with pytest.raises(InconsistentAttributeKindError):
+            assemble_log(events, (ObjectEntry("o1", "T"),))
 
     @pytest.mark.parametrize(
         "mutate, expected_code",
         [
-            (lambda log: {"activities": frozenset({"other"})}, "UnknownActivity"),
-            (lambda log: {"objects": log.objects[1:]}, "DanglingObjectRef"),
-            (lambda log: {"objects": log.objects + (log.objects[0],)}, "DuplicateObjectId"),
-            (lambda log: {"object_types": frozenset({"Z"})}, "UnknownObjectType"),
-            (lambda log: {"schema": {}}, "UnknownAttribute"),
+            (lambda log: log.objects[1:], "DanglingObjectRef"),
+            (lambda log: log.objects + (log.objects[0],), "DuplicateObjectId"),
         ],
     )
     def test_mutated_log_yields_diagnostic(self, golden_log, mutate, expected_code):
-        fields = {
-            "events": golden_log.events,
-            "objects": golden_log.objects,
-            "object_types": golden_log.object_types,
-            "activities": golden_log.activities,
-            "schema": golden_log.schema,
-        }
-        fields.update(mutate(golden_log))
-        bad = ObjectCentricLog(**fields)
-        assert expected_code in {d.code for d in validate_log(bad)}
+        expected = {
+            "DanglingObjectRef": DanglingObjectRefError,
+            "DuplicateObjectId": DuplicateIdError,
+        }[expected_code]
+        with pytest.raises(expected):
+            assemble_log(golden_log.events, mutate(golden_log))
 
     def test_empty_refs_diagnostic(self):
-        bad = ObjectCentricLog(
-            events=(Event("e1", "a", 0, frozenset(), {}),),
-            objects=(),
-            object_types=frozenset(),
-            activities=frozenset({"a"}),
-            schema={},
-        )
-        assert "EmptyObjectRefs" in {d.code for d in validate_log(bad)}
+        with pytest.raises(MissingFieldError):
+            assemble_log((Event("e1", "a", 0, frozenset(), {}),), ())
 
-    def test_non_finite_numeric_diagnostic(self):
-        bad = ObjectCentricLog(
-            events=(Event("e1", "a", 0, frozenset({"o1"}), {"x": math.inf}),),
-            objects=(ObjectEntry("o1", "T"),),
-            object_types=frozenset({"T"}),
-            activities=frozenset({"a"}),
-            schema={"x": AttributeKind.NUMERIC},
-        )
-        assert "NonFiniteNumeric" in {d.code for d in validate_log(bad)}
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numeric(self, value):
+        with pytest.raises(UnsupportedAttributeValueError):
+            assemble_log(
+                [Event("e1", "a", 0, frozenset({"o1"}), {"x": value})],
+                [ObjectEntry("o1", "T")],
+            )
 
 
 class TestAssemble:

@@ -1,5 +1,7 @@
 """Thresholding, labeling, and ranking metrics against exact-arithmetic oracles."""
 
+import csv
+import io
 from fractions import Fraction
 
 import numpy as np
@@ -107,6 +109,11 @@ class TestIqrThreshold:
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             iqr_threshold([])
+
+    @pytest.mark.parametrize("k_factor", [float("nan"), float("inf"), -0.5])
+    def test_invalid_factor(self, k_factor):
+        with pytest.raises(ValueError):
+            iqr_threshold([1.0, 2.0, 3.0], k_factor=k_factor)
 
 
 class TestLabeling:
@@ -297,6 +304,13 @@ class TestReportSerialization:
         assert lines[0] == "event_id,score,label,truth"
         assert len(lines) == 6
         assert lines[5] == "e5,9.0,anomalous,attr_swap"
+
+    def test_csv_quotes_special_ids(self):
+        report = self.build_report()
+        report.event_ids = ("a,b", 'q"x', "e3", "e4", "e5")
+        rows = list(csv.reader(io.StringIO(report_to_csv(report), newline="")))
+        assert [row[0] for row in rows[1:]] == list(report.event_ids)
+        assert all(len(row) == 4 for row in rows)
 
     def test_csv_without_truth(self):
         text = report_to_csv(self.build_report(with_truth=False))
