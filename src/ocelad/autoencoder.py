@@ -3,15 +3,23 @@
 The encoder is two graph-convolution layers and the decoder one more, all
 sharing the normalized adjacency N:
 
-    Z    = ReLU(N * ReLU(N * X * W0) * W1)
-    Xhat = ReLU(N * Z * W2)
+    H0   = ReLU((N * X) * W0)
+    Z    = ReLU(N * (H0 * W1))
+    Xhat = ReLU(N * (Z * W2))
+
+Layers 2 and 3 multiply by their weights before propagating, which narrows
+the dense operand of the sparse product (the propagation order of Kipf &
+Welling, ICLR 2017): layer 2 propagates hidden2 columns instead of hidden1,
+the decoder k instead of hidden2. N * X does not change across epochs, so
+``train`` computes it once.
 
 Training minimizes the mean squared reconstruction error over all entries
 (full batch, Adam). Gradients are derived by hand; N is symmetric, so its
-transpose never needs materializing. Per-event anomaly scores average the
-squared reconstruction error within each feature group first and across
-groups second, so wide one-hot blocks do not drown out single numeric
-columns.
+transpose never needs materializing, and each weight gradient reuses the
+propagated gradient that the layer below needs anyway. Per-event anomaly
+scores average the squared reconstruction error within each feature group
+first and across groups second, so wide one-hot blocks do not drown out
+single numeric columns.
 """
 
 from __future__ import annotations
@@ -87,16 +95,15 @@ class TrainReport:
 
 @dataclass
 class ForwardCache:
-    """Intermediates of one forward pass, reused by the backward pass."""
+    """Intermediates of one forward pass, reused by the backward pass.
+
+    The post-activations double as the ReLU masks: relu(p) > 0 exactly when
+    p > 0.
+    """
 
     ax: np.ndarray
-    h0_pre: np.ndarray
     h0: np.ndarray
-    ah0: np.ndarray
-    h1_pre: np.ndarray
     z: np.ndarray
-    az: np.ndarray
-    h2_pre: np.ndarray
     xhat: np.ndarray
 
 
@@ -117,26 +124,22 @@ def init_model(n_features: int, config: TrainConfig) -> GcnaeModel:
     )
 
 
-def forward_cached(graph: EncodedGraph, model: GcnaeModel) -> ForwardCache:
+def forward_cached(
+    graph: EncodedGraph, model: GcnaeModel, ax: np.ndarray | None = None
+) -> ForwardCache:
+    """One forward pass; ``ax`` is N * X when the caller already has it."""
     x = graph.features
     if x.shape[1] != model.w0.shape[0]:
         raise DimensionMismatchError(
             f"features have {x.shape[1]} columns, model expects {model.w0.shape[0]}"
         )
     norm = graph.normalized
-    ax = spmm(norm, x)
-    h0_pre = matmul(ax, model.w0)
-    h0 = relu(h0_pre)
-    ah0 = spmm(norm, h0)
-    h1_pre = matmul(ah0, model.w1)
-    z = relu(h1_pre)
-    az = spmm(norm, z)
-    h2_pre = matmul(az, model.w2)
-    xhat = relu(h2_pre)
-    return ForwardCache(
-        ax=ax, h0_pre=h0_pre, h0=h0, ah0=ah0, h1_pre=h1_pre, z=z, az=az,
-        h2_pre=h2_pre, xhat=xhat,
-    )
+    if ax is None:
+        ax = spmm(norm, x)
+    h0 = relu(matmul(ax, model.w0))
+    z = relu(spmm(norm, matmul(h0, model.w1)))
+    xhat = relu(spmm(norm, matmul(z, model.w2)))
+    return ForwardCache(ax=ax, h0=h0, z=z, xhat=xhat)
 
 
 def forward(graph: EncodedGraph, model: GcnaeModel) -> tuple[np.ndarray, np.ndarray]:
@@ -164,22 +167,24 @@ def backward(
     """Analytic gradients of the loss with respect to W0, W1, W2.
 
     Relies on the normalized adjacency being symmetric: left-multiplying an
-    upstream gradient by N plays the role of N-transpose.
+    upstream gradient by N plays the role of N-transpose, so with
+    P = N * d_pre both the weight gradient, input^T * P, and the gradient
+    of the layer input, P * W^T, come from one sparse product.
     """
     x = graph.features
     n, k = x.shape
     norm = graph.normalized
 
     d_xhat = (2.0 / (n * k)) * (cache.xhat - x)
-    d_h2_pre = relu_backward(d_xhat, cache.h2_pre)
-    grad_w2 = matmul(cache.az.T, d_h2_pre)
+    n_d_h2 = spmm(norm, relu_backward(d_xhat, cache.xhat))
+    grad_w2 = matmul(cache.z.T, n_d_h2)
 
-    d_z = matmul(spmm(norm, d_h2_pre), model.w2.T)
-    d_h1_pre = relu_backward(d_z, cache.h1_pre)
-    grad_w1 = matmul(cache.ah0.T, d_h1_pre)
+    d_z = matmul(n_d_h2, model.w2.T)
+    n_d_h1 = spmm(norm, relu_backward(d_z, cache.z))
+    grad_w1 = matmul(cache.h0.T, n_d_h1)
 
-    d_h0 = matmul(spmm(norm, d_h1_pre), model.w1.T)
-    d_h0_pre = relu_backward(d_h0, cache.h0_pre)
+    d_h0 = matmul(n_d_h1, model.w1.T)
+    d_h0_pre = relu_backward(d_h0, cache.h0)
     grad_w0 = matmul(cache.ax.T, d_h0_pre)
 
     return grad_w0, grad_w1, grad_w2
@@ -202,8 +207,9 @@ def train(graph: EncodedGraph, config: TrainConfig) -> TrainReport:
         for name in ("w0", "w1", "w2")
     }
     losses: list[float] = []
+    ax = spmm(graph.normalized, graph.features)
     for epoch in range(config.epochs):
-        cache = forward_cached(graph, model)
+        cache = forward_cached(graph, model, ax)
         value = loss(graph.features, cache.xhat)
         if not math.isfinite(value):
             raise NonFiniteLossError(epoch, value)

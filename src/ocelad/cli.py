@@ -40,6 +40,7 @@ from .scoring import (
     report_from_json,
     report_to_csv,
     report_to_json,
+    validate_k_factor,
 )
 
 GENERATE_DEFAULTS = {
@@ -83,7 +84,9 @@ def run_detection(
 
     Reconstructs instances, encodes the graph, trains the autoencoder,
     scores every event, and labels the events against the IQR threshold.
+    A bad ``k_factor`` is rejected before any of that work starts.
     """
+    validate_k_factor(k_factor)
     graph = encode_log(log, scale_numeric=scale_numeric)
     report = train(graph, config)
     _, xhat = forward(graph, report.model)

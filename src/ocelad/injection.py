@@ -36,7 +36,7 @@ import numpy as np
 
 from .encoding import GroupKind, build_layout, encode_features
 from .numerics import make_rng
-from .ocel import Event, ObjectCentricLog, assemble_log
+from .ocel import DuplicateIdError, Event, ObjectCentricLog, assemble_log, csv_text
 
 ATTRIBUTE_SWAP = "attr_swap"
 TIMESTAMP_SHIFT = "timestamp_shift"
@@ -97,11 +97,7 @@ class GroundTruth:
         return totals
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_TRUTH_HEADER)
-        writer.writerows(self.labels.items())
-        return out.getvalue()
+        return csv_text([_TRUTH_HEADER, *self.labels.items()])
 
     @classmethod
     def from_csv(cls, text: str) -> "GroundTruth":
@@ -113,7 +109,12 @@ class GroundTruth:
             raise ValueError("ground truth CSV must start with 'event_id,label'")
         if any(len(row) != 2 for row in rows[1:]):
             raise ValueError("every ground truth row needs exactly an event id and a label")
-        return cls(labels=dict(rows[1:]))
+        labels: dict[str, str] = {}
+        for event_id, label in rows[1:]:
+            if event_id in labels:
+                raise DuplicateIdError(f"event {event_id!r} labeled twice in ground truth CSV")
+            labels[event_id] = label
+        return cls(labels=labels)
 
 
 def plan_injection(n_original: int, rate: float = 0.10, seed: int = 0) -> InjectionPlan:

@@ -1,8 +1,10 @@
 """Numerical substrate: dense/sparse products, ReLU, init, Adam, RNG.
 
-Everything runs in 64-bit floats on numpy arrays. The reference path is
-single-threaded and deterministic: identical inputs (including generator
-state) produce bitwise-identical outputs.
+Everything runs in 64-bit floats on numpy arrays. The sparse product is one
+scipy CSR kernel, reached through ``SparseAdjacency.csr``, which imports
+``scipy.sparse`` on first use so that importing the package stays cheap.
+Identical inputs (including generator state) produce bitwise-identical
+outputs at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -36,11 +38,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def spmm(sparse: SparseAdjacency, dense: np.ndarray) -> np.ndarray:
-    """Sparse (CSR) times dense product.
+    """Sparse (CSR) times dense product through the adjacency's scipy matrix.
 
-    Uses a segment-sum fast path when every row has at least one entry (true
-    for normalized adjacencies, which always carry the diagonal) and a
-    deterministic scatter-add otherwise.
+    scipy's kernel walks each row's entries in stored order, single-threaded,
+    so the result is deterministic across processes.
     """
     dense = np.asarray(dense, dtype=np.float64)
     if dense.ndim != 2:
@@ -49,25 +50,7 @@ def spmm(sparse: SparseAdjacency, dense: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"sparse has {sparse.n} columns, dense has {dense.shape[0]} rows"
         )
-    indptr = sparse.indptr
-    indices = sparse.indices
-    weights = sparse.weights
-
-    if indices.size == 0:
-        return np.zeros((sparse.n, dense.shape[1]), dtype=np.float64)
-
-    gathered = dense[indices]
-    if weights is not None:
-        gathered = gathered * weights[:, None]
-
-    counts = np.diff(indptr)
-    if (counts > 0).all():
-        return np.add.reduceat(gathered, indptr[:-1], axis=0)
-
-    out = np.zeros((sparse.n, dense.shape[1]), dtype=np.float64)
-    rows = np.repeat(np.arange(sparse.n, dtype=np.int64), counts)
-    np.add.at(out, rows, gathered)
-    return out
+    return sparse.csr @ dense
 
 
 def relu(values: np.ndarray) -> np.ndarray:
@@ -75,18 +58,20 @@ def relu(values: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(values, dtype=np.float64), 0.0)
 
 
-def relu_backward(upstream: np.ndarray, pre_activation: np.ndarray) -> np.ndarray:
-    """Zero the upstream gradient wherever the pre-activation was <= 0.
+def relu_backward(upstream: np.ndarray, activation: np.ndarray) -> np.ndarray:
+    """Zero the upstream gradient wherever the activation is <= 0.
 
-    The derivative at exactly 0 is taken as 0.
+    ``activation`` may be the pre-activation or the ReLU output: relu(p) > 0
+    exactly when p > 0, so both give the same mask. The derivative at
+    exactly 0 is taken as 0.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
-    pre_activation = np.asarray(pre_activation, dtype=np.float64)
-    if upstream.shape != pre_activation.shape:
+    activation = np.asarray(activation, dtype=np.float64)
+    if upstream.shape != activation.shape:
         raise DimensionMismatchError(
-            f"upstream {upstream.shape} does not match pre-activation {pre_activation.shape}"
+            f"upstream {upstream.shape} does not match activation {activation.shape}"
         )
-    return np.where(pre_activation > 0.0, upstream, 0.0)
+    return np.where(activation > 0.0, upstream, 0.0)
 
 
 def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,6 +10,8 @@ typed error; it never hands back a partially constructed log.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import logging
 import math
@@ -17,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -395,3 +397,17 @@ def write_ocel_json(log: ObjectCentricLog) -> bytes:
     }
     return json.dumps(doc, indent=2, ensure_ascii=False).encode("utf-8")
 
+
+def csv_text(rows: Iterable[Sequence[str]]) -> str:
+    r"""Rows as CSV text with "\n" line endings and minimal quoting.
+
+    A row with a carriage return in any field is written fully quoted: with
+    a "\n" terminator, the csv writer of Python 3.11 leaves such a field
+    bare, and no CSV reader could take it back.
+    """
+    out = io.StringIO()
+    plain = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        (quoted if any("\r" in value for value in row) else plain).writerow(row)
+    return out.getvalue()

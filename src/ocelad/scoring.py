@@ -9,14 +9,14 @@ the others break score ties by event index.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .ocel import csv_text
 
 NORMAL_LABEL = "normal"
 
@@ -89,10 +89,15 @@ def quantile(values: Sequence[float] | np.ndarray, q: float) -> float:
     return float(data[lower] + fraction * (data[lower + 1] - data[lower]))
 
 
-def iqr_threshold(scores: Sequence[float] | np.ndarray, k_factor: float = 1.5) -> ThresholdResult:
-    """Threshold tau = Q3 + k * (Q3 - Q1) over the score distribution."""
+def validate_k_factor(k_factor: float) -> None:
+    """Reject an IQR multiplier that is not finite and >= 0."""
     if not (math.isfinite(k_factor) and k_factor >= 0.0):
         raise ValueError(f"k_factor must be finite and >= 0, got {k_factor}")
+
+
+def iqr_threshold(scores: Sequence[float] | np.ndarray, k_factor: float = 1.5) -> ThresholdResult:
+    """Threshold tau = Q3 + k * (Q3 - Q1) over the score distribution."""
+    validate_k_factor(k_factor)
     q1 = quantile(scores, 0.25)
     q3 = quantile(scores, 0.75)
     iqr = q3 - q1
@@ -337,13 +342,11 @@ def report_from_json(text: str) -> DetectionReport:
 def report_to_csv(report: DetectionReport) -> str:
     """CSV serialization: event id, score, label, and truth when present."""
     with_truth = report.truth is not None
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["event_id", "score", "label"] + (["truth"] if with_truth else []))
+    rows = [["event_id", "score", "label"] + (["truth"] if with_truth else [])]
     for index, event_id in enumerate(report.event_ids):
         label = "anomalous" if report.labels[index] else NORMAL_LABEL
         row = [event_id, repr(float(report.scores[index])), label]
         if with_truth:
             row.append(report.truth[index])
-        writer.writerow(row)
-    return out.getvalue()
+        rows.append(row)
+    return csv_text(rows)

@@ -158,7 +158,8 @@ class TestDetect:
         assert run(args) == 2
         assert "epoch" in capsys.readouterr().err
 
-    def test_non_finite_k_factor_is_config_error(self, tmp_path, small_log_path):
+    def test_non_finite_k_factor_is_config_error(self, tmp_path, small_log_path, monkeypatch):
+        monkeypatch.setattr(cli, "train", lambda graph, config: pytest.fail("trained"))
         args = self.detect_args(small_log_path, tmp_path / "r.json") + ["--k-factor", "nan"]
         assert run(args) == 2
         assert not (tmp_path / "r.json").exists()

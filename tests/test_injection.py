@@ -15,7 +15,7 @@ from ocelad.injection import (
     plan_injection,
 )
 from ocelad.instances import build_instances, build_traces
-from ocelad.ocel import parse_ocel_json, write_ocel_json
+from ocelad.ocel import DuplicateIdError, parse_ocel_json, write_ocel_json
 
 from conftest import GOLDEN_ROWS, make_log
 
@@ -366,13 +366,17 @@ class TestInjectAll:
 class TestGroundTruth:
     def test_csv_round_trip(self):
         truth = GroundTruth(
-            labels={"a,b": ATTRIBUTE_SWAP, 'q"x': "normal", "e2": ATTRIBUTE_SWAP,
-                    "x9": RANDOM_ACTIVITY}
+            labels={"a,b": ATTRIBUTE_SWAP, 'q"x': "normal", "c\rd": TIMESTAMP_SHIFT,
+                    "e2": ATTRIBUTE_SWAP, "x9": RANDOM_ACTIVITY}
         )
         text = truth.to_csv()
         assert text.endswith("\ne2,attr_swap\nx9,random_activity\n")
         again = GroundTruth.from_csv(text)
         assert again == truth
+
+    def test_csv_repeated_event_id_rejected(self):
+        with pytest.raises(DuplicateIdError):
+            GroundTruth.from_csv("event_id,label\na,normal\na,attr_swap\n")
 
     def test_csv_row_without_label_rejected(self):
         with pytest.raises(ValueError):

@@ -2,10 +2,18 @@
 
 import copy
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import ocelad
 from ocelad.encoding import SparseAdjacency
 from ocelad.numerics import (
     AdamState,
@@ -54,6 +62,27 @@ def sparse_to_dense(sparse):
         for pos in range(sparse.indptr[row], sparse.indptr[row + 1]):
             dense[row, sparse.indices[pos]] = 1.0 if weights is None else weights[pos]
     return dense
+
+
+@st.composite
+def sparse_and_dense(draw):
+    """A CSR matrix (empty rows and nnz == 0 included) and a dense operand.
+
+    The dense operand is either C-contiguous or the transposed view of one.
+    """
+    n = draw(st.integers(0, 10))
+    width = draw(st.integers(1, 5))
+    columns = st.sets(st.integers(0, n - 1), max_size=n) if n else st.just(set())
+    rows = [sorted(draw(columns)) for _ in range(n)]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    indices = np.array([column for row in rows for column in row], dtype=np.int64)
+    weights = None
+    if draw(st.booleans()):
+        weights = draw(arrays(np.float64, indices.size, elements=st.floats(-10.0, 10.0)))
+    values = draw(arrays(np.float64, (width, n), elements=st.floats(-1e3, 1e3)))
+    dense = values.T if draw(st.booleans()) else np.ascontiguousarray(values.T)
+    return SparseAdjacency(n=n, indptr=indptr, indices=indices, weights=weights), dense
 
 
 class TestMatmul:
@@ -110,6 +139,25 @@ class TestSpmm:
             dense = rng.standard_normal((n, cols))
             expected = naive_matmul(sparse_to_dense(sparse), dense)
             np.testing.assert_allclose(spmm(sparse, dense), expected, atol=1e-12)
+
+    @settings(deadline=None)
+    @given(sparse_and_dense())
+    @example((SparseAdjacency(n=0, indptr=np.zeros(1, dtype=np.int64),
+                              indices=np.zeros(0, dtype=np.int64)), np.zeros((0, 3))))
+    def test_property_against_dense_oracle(self, operands):
+        sparse, dense = operands
+        result = spmm(sparse, dense)
+        assert result.shape == (sparse.n, dense.shape[1])
+        np.testing.assert_allclose(result, sparse_to_dense(sparse) @ dense, rtol=1e-12, atol=1e-9)
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        src = str(Path(ocelad.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, ocelad; print('scipy' in sys.modules)"],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        assert result.stdout.strip() == "False"
 
     def test_empty_matrix(self):
         sparse = SparseAdjacency(

@@ -307,7 +307,7 @@ class TestReportSerialization:
 
     def test_csv_quotes_special_ids(self):
         report = self.build_report()
-        report.event_ids = ("a,b", 'q"x', "e3", "e4", "e5")
+        report.event_ids = ("a,b", 'q"x', "c\rd", "e4", "e5")
         rows = list(csv.reader(io.StringIO(report_to_csv(report), newline="")))
         assert [row[0] for row in rows[1:]] == list(report.event_ids)
         assert all(len(row) == 4 for row in rows)
