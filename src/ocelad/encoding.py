@@ -258,47 +258,46 @@ def encode_features(
     using the layout's recorded bounds (out-of-range values are clamped);
     otherwise raw values are written.
     """
-    matrix = np.zeros((len(log.events), layout.n_columns), dtype=np.float64)
-    lookups = {
-        group.name: {value: group.start + offset for offset, value in enumerate(group.vocabulary)}
-        for group in layout.groups
-        if group.kind is not GroupKind.NUMERIC
-    }
-    for row, event in enumerate(log.events):
-        for group in layout.groups:
-            if group.kind is GroupKind.ACTIVITY:
-                column = lookups[group.name].get(event.activity)
-                if column is None:
-                    raise UnknownCategoricalValueError(
-                        f"event {event.event_id!r}: activity {event.activity!r} "
-                        "not in layout"
-                    )
-                matrix[row, column] = 1.0
-            elif group.kind is GroupKind.CATEGORICAL:
-                value = event.attributes.get(group.name)
-                if value is None:
-                    matrix[row, group.missing_column] = 1.0
-                else:
-                    column = lookups[group.name].get(value)
-                    if column is None:
-                        raise UnknownCategoricalValueError(
-                            f"event {event.event_id!r}: value {value!r} of attribute "
-                            f"{group.name!r} not in layout vocabulary"
-                        )
-                    matrix[row, column] = 1.0
-            else:
-                value = event.attributes.get(group.name)
-                if value is None:
-                    continue
-                if scale_numeric:
-                    span = group.max_value - group.min_value
-                    if span <= 0.0:
-                        scaled = 0.0
-                    else:
-                        scaled = (float(value) - group.min_value) / span
-                    matrix[row, group.start] = min(1.0, max(0.0, scaled))
-                else:
-                    matrix[row, group.start] = float(value)
+    events = log.events
+    matrix = np.zeros((len(events), layout.n_columns), dtype=np.float64)
+    rows = np.arange(len(events))
+    for group in layout.groups:
+        if group.kind is GroupKind.NUMERIC:
+            column = [e.attributes.get(group.name) for e in events]
+            present = [row for row, value in enumerate(column) if value is not None]
+            span = group.max_value - group.min_value
+            if not present or (scale_numeric and span <= 0.0):
+                continue
+            values = np.array([float(column[row]) for row in present], dtype=np.float64)
+            if scale_numeric:
+                # Clamp as min(1.0, max(0.0, x)) on Python floats does: an
+                # overflowing span passes silently, and -0.0 and NaN become 0.0
+                # (np.maximum keeps both, np.fmax may keep -0.0).
+                with np.errstate(over="ignore", invalid="ignore"):
+                    scaled = (values - group.min_value) / span
+                scaled = np.where(scaled > 0.0, scaled, 0.0)
+                values = np.where(scaled < 1.0, scaled, 1.0)
+            matrix[present, group.start] = values
+            continue
+        lookup = {value: group.start + offset for offset, value in enumerate(group.vocabulary)}
+        if group.kind is GroupKind.ACTIVITY:
+            columns = [lookup.get(e.activity) for e in events]
+        else:
+            missing = group.missing_column
+            columns = [
+                missing if value is None else lookup.get(value)
+                for value in (e.attributes.get(group.name) for e in events)
+            ]
+        if None in columns:
+            event = events[columns.index(None)]
+            value = (
+                event.activity if group.kind is GroupKind.ACTIVITY else event.attributes[group.name]
+            )
+            raise UnknownCategoricalValueError(
+                f"event {event.event_id!r}: value {value!r} of {group.name!r} "
+                "not in layout vocabulary"
+            )
+        matrix[rows, columns] = 1.0
     return matrix
 
 

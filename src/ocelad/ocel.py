@@ -17,13 +17,19 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from enum import Enum
+from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+# First and last millisecond that ``datetime`` can represent.
+_MIN_MILLIS = -62_135_596_800_000
+_MAX_MILLIS = 253_402_300_799_999
 
 # Top-level keys of the OCEL 1.0 JSON format. Keys outside this set are
 # ignored with a warning; "ocel:global-event"/"ocel:global-object" carry
@@ -134,10 +140,16 @@ def parse_timestamp(text: str) -> int:
     return delta.days * 86_400_000 + delta.seconds * 1000 + delta.microseconds // 1000
 
 
-def format_timestamp(millis: int) -> str:
-    """Render milliseconds since the epoch as ISO-8601 UTC with millisecond precision."""
-    dt = _EPOCH + timedelta(milliseconds=int(millis))
-    return dt.isoformat(timespec="milliseconds")
+def format_timestamps(millis: Sequence[int]) -> list[str]:
+    """Render milliseconds since the epoch as ISO-8601 UTC with millisecond precision.
+
+    Covers the years 1 to 9999, the range of ``datetime``; a value outside it
+    raises ``OverflowError``.
+    """
+    if millis and not (_MIN_MILLIS <= min(millis) and max(millis) <= _MAX_MILLIS):
+        raise OverflowError("timestamp outside the years 1 to 9999")
+    stamps = np.array(millis, dtype=np.int64).astype("datetime64[ms]")
+    return [f"{text}+00:00" for text in np.datetime_as_string(stamps, unit="ms").tolist()]
 
 
 def _coerce_attribute_value(event_id: str, name: str, raw: object) -> float | str | None:
@@ -375,27 +387,87 @@ def parse_ocel_json(data: bytes | str) -> ObjectCentricLog:
 
 
 def write_ocel_json(log: ObjectCentricLog) -> bytes:
-    """Serialize a log as OCEL 1.0 JSON. Deterministic: equal logs → equal bytes."""
-    doc = {
-        "ocel:global-log": {
-            "ocel:object-types": sorted(log.object_types),
-            "ocel:attribute-names": sorted(log.schema),
-        },
-        "ocel:events": {
-            e.event_id: {
-                "ocel:activity": e.activity,
-                "ocel:timestamp": format_timestamp(e.timestamp),
-                "ocel:omap": sorted(e.object_refs),
-                "ocel:vmap": {name: e.attributes[name] for name in sorted(e.attributes)},
-            }
-            for e in log.events
-        },
-        "ocel:objects": {
-            o.object_id: {"ocel:type": o.object_type, "ocel:ovmap": {}}
-            for o in log.objects
-        },
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False).encode("utf-8")
+    """Serialize a log as OCEL 1.0 JSON. Deterministic: equal logs → equal bytes.
+
+    The text is ``json.dumps(doc, indent=2, ensure_ascii=False)`` of the OCEL
+    document, laid out here directly: the stdlib encoder runs in pure Python
+    whenever ``indent`` is set.
+    """
+    quote = encode_basestring
+    stamps = format_timestamps([e.timestamp for e in log.events])
+    events = [_event_json(e, stamp) for e, stamp in zip(log.events, stamps)]
+    objects = [
+        f"{quote(o.object_id)}: {{\n"
+        f'      "ocel:type": {quote(o.object_type)},\n'
+        '      "ocel:ovmap": {}\n'
+        "    }"
+        for o in log.objects
+    ]
+    object_types = json_block([quote(t) for t in sorted(log.object_types)], "    ", "[]")
+    attribute_names = json_block([quote(a) for a in sorted(log.schema)], "    ", "[]")
+    text = (
+        "{\n"
+        '  "ocel:global-log": {\n'
+        f'    "ocel:object-types": {object_types},\n'
+        f'    "ocel:attribute-names": {attribute_names}\n'
+        "  },\n"
+        f'  "ocel:events": {json_block(events, "  ", "{}")},\n'
+        f'  "ocel:objects": {json_block(objects, "  ", "{}")}\n'
+        "}"
+    )
+    return text.encode("utf-8")
+
+
+def _event_json(event: Event, stamp: str) -> str:
+    """One member of "ocel:events", for a line indented by four spaces."""
+    quote = encode_basestring
+    omap = json_block([quote(ref) for ref in sorted(event.object_refs)], "      ", "[]")
+    vmap = json_block(
+        [
+            f"{quote(name)}: {json_value(event.attributes[name], False, '        ')}"
+            for name in sorted(event.attributes)
+        ],
+        "      ",
+        "{}",
+    )
+    return (
+        f"{quote(event.event_id)}: {{\n"
+        f'      "ocel:activity": {quote(event.activity)},\n'
+        f'      "ocel:timestamp": "{stamp}",\n'
+        f'      "ocel:omap": {omap},\n'
+        f'      "ocel:vmap": {vmap}\n'
+        "    }"
+    )
+
+
+def json_block(members: list[str], indent: str, brackets: str) -> str:
+    """A JSON array or object of rendered members, laid out as ``json.dumps(indent=2)``.
+
+    ``indent`` is the indentation of the line that opens the block; members
+    spanning several lines carry their own deeper indentation.
+    """
+    if not members:
+        return brackets
+    inner = ",\n".join(f"{indent}  {member}" for member in members)
+    return f"{brackets[0]}\n{inner}\n{indent}{brackets[1]}"
+
+
+def json_value(value: object, ensure_ascii: bool, indent: str) -> str:
+    """A JSON value as ``json.dumps(indent=2)`` writes it at a line indented by ``indent``."""
+    quote = encode_basestring_ascii if ensure_ascii else encode_basestring
+    if isinstance(value, str):
+        return quote(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        members = [
+            f"{quote(key)}: {json_value(item, ensure_ascii, inner)}" for key, item in value.items()
+        ]
+        return json_block(members, indent, "{}")
+    if isinstance(value, (list, tuple)):
+        return json_block([json_value(item, ensure_ascii, inner) for item in value], indent, "[]")
+    return json.dumps(value)
 
 
 def csv_text(rows: Iterable[Sequence[str]]) -> str:

@@ -12,11 +12,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
 
-from .ocel import csv_text
+from .ocel import (
+    DuplicateIdError,
+    _first_duplicate,
+    _unique_keys,
+    csv_text,
+    json_block,
+    json_value,
+)
 
 NORMAL_LABEL = "normal"
 
@@ -295,42 +303,60 @@ def _metrics_from_dict(doc: dict) -> MetricsBlock:
 
 
 def report_to_json(report: DetectionReport) -> str:
-    """Full JSON serialization of a detection report. Deterministic."""
+    """Full JSON serialization of a detection report. Deterministic.
+
+    The text is ``json.dumps(doc, indent=2)`` of the report document, laid
+    out here directly: the stdlib encoder runs in pure Python whenever
+    ``indent`` is set.
+    """
+    quote = encode_basestring_ascii
     events = []
-    for index, event_id in enumerate(report.event_ids):
-        entry: dict = {
-            "event_id": event_id,
-            "score": float(report.scores[index]),
-            "label": "anomalous" if report.labels[index] else NORMAL_LABEL,
-        }
-        if report.truth is not None:
-            entry["truth"] = report.truth[index]
-        events.append(entry)
-    doc = {
-        "threshold": {
-            "q1": report.threshold.q1,
-            "q3": report.threshold.q3,
-            "iqr": report.threshold.iqr,
-            "tau": report.threshold.tau,
-            "k_factor": report.threshold.k_factor,
-        },
-        "events": events,
+    for index, (event_id, score, anomalous) in enumerate(
+        zip(
+            report.event_ids,
+            np.asarray(report.scores, dtype=np.float64).tolist(),
+            np.asarray(report.labels).tolist(),
+        )
+    ):
+        label = "anomalous" if anomalous else NORMAL_LABEL
+        truth = "" if report.truth is None else f',\n      "truth": {quote(report.truth[index])}'
+        events.append(
+            "{\n"
+            f'      "event_id": {quote(event_id)},\n'
+            f'      "score": {json_value(score, True, "      ")},\n'
+            f'      "label": "{label}"{truth}\n'
+            "    }"
+        )
+    threshold = {
+        "q1": report.threshold.q1,
+        "q3": report.threshold.q3,
+        "iqr": report.threshold.iqr,
+        "tau": report.threshold.tau,
+        "k_factor": report.threshold.k_factor,
     }
+    blocks = [
+        f'"threshold": {json_value(threshold, True, "  ")}',
+        f'"events": {json_block(events, "  ", "[]")}',
+    ]
     if report.metrics is not None:
-        doc["metrics"] = _metrics_to_dict(report.metrics)
-    return json.dumps(doc, indent=2)
+        blocks.append(f'"metrics": {json_value(_metrics_to_dict(report.metrics), True, "  ")}')
+    return json_block(blocks, "", "{}")
 
 
 def report_from_json(text: str) -> DetectionReport:
-    doc = json.loads(text)
+    """Read a report back; a repeated event id or JSON key raises ``DuplicateIdError``."""
+    doc = json.loads(text, object_pairs_hook=_unique_keys)
     events = doc["events"]
+    event_ids = tuple(entry["event_id"] for entry in events)
+    if len(set(event_ids)) != len(event_ids):
+        raise DuplicateIdError(f"event {_first_duplicate(event_ids)!r} listed twice in report")
     threshold = ThresholdResult(**doc["threshold"])
     truth = None
     if events and "truth" in events[0]:
         truth = tuple(entry["truth"] for entry in events)
     metrics = _metrics_from_dict(doc["metrics"]) if "metrics" in doc else None
     return DetectionReport(
-        event_ids=tuple(entry["event_id"] for entry in events),
+        event_ids=event_ids,
         scores=np.array([entry["score"] for entry in events], dtype=np.float64),
         labels=np.array([entry["label"] == "anomalous" for entry in events], dtype=bool),
         threshold=threshold,

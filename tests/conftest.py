@@ -41,6 +41,11 @@ GOLDEN_ROWS = [
 GOLDEN_OBJECTS = {f"a{i}": "A" for i in (1, 2, 3)} | {f"b{i}": "B" for i in (1, 2, 3)}
 
 
+# Characters that JSON string escaping must handle: quotes, backslashes,
+# control characters, line separators, non-ASCII and non-BMP characters.
+AWKWARD_CHARACTERS = ['"', "\\", "\x00", "\x1f", "\n", "\r", "\x7f", "\u2028", "é", "\U0001f600"]
+
+
 def golden_log_bytes() -> bytes:
     doc = {
         "ocel:global-log": {

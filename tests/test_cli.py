@@ -224,6 +224,19 @@ class TestEvaluate:
         assert doc["mean"]["f1"] == 1.0
         assert doc["std"]["f1"] == 0.0
 
+    def test_repeated_event_id_exit_code(self, tmp_path, capsys):
+        # "e1" listed twice in place of "e2" covers the same id set as the
+        # truth, so without the check the join succeeds and scores silently.
+        report_path, truth_path = write_perfect_run(tmp_path)
+        doc = json.loads(report_path.read_text())
+        doc["events"][1]["event_id"] = "e1"
+        report_path.write_text(json.dumps(doc))
+        labels = {"e1": "attr_swap"} | {f"e{i}": "normal" for i in range(3, 11)}
+        truth_path.write_text(GroundTruth(labels=labels).to_csv())
+        code = run(["evaluate", "--report", str(report_path), "--truth", str(truth_path)])
+        assert code == 2
+        assert "listed twice" in capsys.readouterr().err
+
     def test_id_mismatch_exit_code(self, tmp_path):
         report_path, truth_path = write_perfect_run(tmp_path)
         truth_path.write_text("event_id,label\nother,normal\n")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ocelad.encoding import (
     GroupKind,
@@ -16,6 +18,7 @@ from ocelad.encoding import (
 from ocelad.generator import GenConfig, generate
 from ocelad.instances import ProcessInstance, ProcessInstanceSet, build_instances
 from ocelad.numerics import make_rng
+from ocelad.ocel import Event, ObjectEntry, assemble_log
 
 from conftest import make_log, random_log
 
@@ -56,6 +59,80 @@ def dense_normalize_oracle(a: np.ndarray) -> np.ndarray:
     degrees = looped.sum(axis=1)
     inv_sqrt = np.diag(1.0 / np.sqrt(degrees))
     return inv_sqrt @ looped @ inv_sqrt
+
+
+def reference_encode_features(log, layout, scale_numeric=True):
+    """Feature encoding one event and one group at a time, with Python floats."""
+    matrix = np.zeros((len(log.events), layout.n_columns), dtype=np.float64)
+    lookups = {
+        group.name: {value: group.start + offset for offset, value in enumerate(group.vocabulary)}
+        for group in layout.groups
+        if group.kind is not GroupKind.NUMERIC
+    }
+    for row, event in enumerate(log.events):
+        for group in layout.groups:
+            if group.kind is GroupKind.ACTIVITY:
+                column = lookups[group.name].get(event.activity)
+                if column is None:
+                    raise UnknownCategoricalValueError(event.activity)
+                matrix[row, column] = 1.0
+            elif group.kind is GroupKind.CATEGORICAL:
+                value = event.attributes.get(group.name)
+                if value is None:
+                    matrix[row, group.missing_column] = 1.0
+                else:
+                    column = lookups[group.name].get(value)
+                    if column is None:
+                        raise UnknownCategoricalValueError(value)
+                    matrix[row, column] = 1.0
+            else:
+                value = event.attributes.get(group.name)
+                if value is None:
+                    continue
+                if scale_numeric:
+                    span = group.max_value - group.min_value
+                    scaled = 0.0 if span <= 0.0 else (float(value) - group.min_value) / span
+                    matrix[row, group.start] = min(1.0, max(0.0, scaled))
+                else:
+                    matrix[row, group.start] = float(value)
+    return matrix
+
+
+# Extremes whose difference overflows (a NaN after scaling), signed zeros and
+# subnormals, next to ordinary values.
+feature_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308, 0.5, 1.0]),
+)
+
+
+def numeric_log(values):
+    events = [Event(f"e{i}", "a", i, frozenset({"o1"}), {"n1": v}) for i, v in enumerate(values)]
+    return assemble_log(events, [ObjectEntry("o1", "T")])
+
+
+@st.composite
+def feature_cases(draw):
+    """A log and the log its layout comes from: itself or a subset of its events.
+
+    A subset leaves values unknown to the layout and numerics out of its bounds.
+    """
+    events = []
+    for i in range(draw(st.integers(0, 8))):
+        attributes = {}
+        for name in ("c1", "c2"):
+            if draw(st.booleans()):
+                attributes[name] = draw(st.sampled_from(["p", "q", "r"]))
+        for name in ("n1", "n2"):
+            if draw(st.booleans()):
+                attributes[name] = draw(feature_floats)
+        activity = draw(st.sampled_from(["a", "b", "c"]))
+        events.append(Event(f"e{i}", activity, i, frozenset({"o1"}), attributes))
+    log = assemble_log(events, [ObjectEntry("o1", "T")])
+    if draw(st.booleans()):
+        return log, log
+    kept = draw(st.sets(st.integers(0, len(events) - 1))) if events else set()
+    return log, assemble_log([events[i] for i in sorted(kept)], log.objects)
 
 
 class TestAdjacency:
@@ -257,6 +334,23 @@ class TestFeatures:
         features = encode_features(log2, layout)
         group = next(g for g in layout.groups if g.name == "n")
         assert features[0, group.start] == 1.0
+
+    @settings(deadline=None)
+    @given(feature_cases(), st.booleans())
+    # -0.0 above a lower bound of 0.0 scales to -0.0 before clamping; a span
+    # of 2e308 overflows to inf and scales the top value to NaN.
+    @example((numeric_log([0.0, -0.0, 1.0]),) * 2, True)
+    @example((numeric_log([1e308, -1e308, 0.0]),) * 2, True)
+    def test_matches_row_loop(self, case, scale_numeric):
+        log, layout_log = case
+        layout = build_layout(layout_log)
+        try:
+            expected = reference_encode_features(log, layout, scale_numeric)
+        except UnknownCategoricalValueError:
+            with pytest.raises(UnknownCategoricalValueError):
+                encode_features(log, layout, scale_numeric)
+            return
+        assert encode_features(log, layout, scale_numeric).tobytes() == expected.tobytes()
 
     def test_one_hot_row_sums(self):
         log = generate(GenConfig(n_orders=15, seed=2))

@@ -1,8 +1,19 @@
 """Injection planning, the three anomaly types, and the full harness."""
 
-import pytest
+import hashlib
+from dataclasses import replace
+from unittest.mock import patch
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from ocelad import injection
+from ocelad.generator import benchmark_config, generate
 from ocelad.injection import (
+    ANOMALY_TYPES,
     ATTRIBUTE_SWAP,
     RANDOM_ACTIVITY,
     TIMESTAMP_SHIFT,
@@ -59,6 +70,34 @@ class TestPlan:
             plan = plan_injection(n, rate=0.10)
             contamination = plan.total / (n + plan.random_activity)
             assert abs(contamination - 0.10) < 0.005
+
+
+def reference_swap_source(attr_matrix, target, event_ids):
+    """The farthest-peer scan the batched search replaced: one pass over all events per target."""
+    deltas = attr_matrix - attr_matrix[target]
+    distances = np.sqrt(np.sum(deltas * deltas, axis=1))
+    distances[target] = -np.inf
+    best = float(distances.max())
+    tied = np.flatnonzero(distances == best)
+    source = min(tied, key=lambda i: event_ids[i])
+    return int(source), best
+
+
+@st.composite
+def attribute_matrices(draw):
+    """Encoded-attribute matrices with repeated rows, as a column view like the real one.
+
+    Nine or more columns make numpy's pairwise row sum differ from a
+    sequential one; a pool of one row makes every row identical.
+    """
+    n = draw(st.integers(2, 30))
+    k = draw(st.integers(9, 16))
+    cells = st.one_of(st.sampled_from([0.0, 1.0, 0.1, 1 / 3, 0.7]), st.floats(0.0, 1.0))
+    pool = draw(st.lists(arrays(np.float64, k, elements=cells), min_size=1, max_size=n))
+    rows = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)]
+    features = np.zeros((n, k + 3))
+    features[:, 3:] = rows
+    return features[:, 3:]
 
 
 def swap_fixture_log():
@@ -164,6 +203,27 @@ class TestAttributeSwap:
             [("e1", "a", 0, ["o1"], {}), ("e2", "a", 1, ["o1"], {})], {"o1": "T"}
         )
         with pytest.raises(NoAttributesError):
+            inject_all(log, single_type_plan(attr_swap=1))
+
+    @settings(deadline=None)
+    @given(attribute_matrices(), st.data())
+    def test_batched_search_matches_full_scan(self, matrix, data):
+        n = matrix.shape[0]
+        event_ids = tuple(data.draw(st.permutations([f"id{i:02d}" for i in range(n)])))
+        targets = np.array(data.draw(st.permutations(range(n))))
+        # Blocks of one row, of a few rows, and the real size (one block here).
+        block = data.draw(st.sampled_from([1, 3 * n, injection._GRAM_BLOCK_ELEMENTS]))
+        with patch.object(injection, "_GRAM_BLOCK_ELEMENTS", block):
+            found = list(injection._farthest_peers(matrix, targets, event_ids))
+        expected = [(t, *reference_swap_source(matrix, t, event_ids)) for t in targets.tolist()]
+        assert found == expected
+
+    def test_all_identical_rows_rejected(self):
+        attrs = {f"n{i}": 0.5 for i in range(5)} | {f"c{i}": "v" for i in range(4)}
+        log = make_log(
+            [(f"e{i:02d}", "a", i, ["o1"], attrs) for i in range(30)], {"o1": "T"}
+        )
+        with pytest.raises(InsufficientCandidatesError):
             inject_all(log, single_type_plan(attr_swap=1))
 
 
@@ -361,6 +421,47 @@ class TestInjectAll:
         plan = InjectionPlan(rate=0.1, attr_swap=5, timestamp_shift=5, random_activity=0, seed=3)
         contaminated, _ = inject_all(log, plan)
         assert len(contaminated.events) == len(log.events)
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(6, 16), st.integers(0, 2**16), st.floats(0.01, 0.3))
+    def test_invariants_on_generated_logs(self, n_orders, seed, rate):
+        log = generate(benchmark_config(n_orders=n_orders, seed=seed))
+        plan = plan_injection(len(log.events), rate, seed)
+        contaminated, truth = inject_all(log, plan)
+        count = plan.attr_swap
+        assert truth.counts() == dict.fromkeys(ANOMALY_TYPES, count)
+        assert len(contaminated.events) == len(log.events) + count
+        assert sum(label != "normal" for label in truth.labels.values()) == 3 * count
+        # Disjoint targets: each original event changed in at most the one
+        # field its label names; only random activities are new events.
+        originals = {event.event_id: event for event in log.events}
+        for event in contaminated.events:
+            label = truth.labels[event.event_id]
+            original = originals.get(event.event_id)
+            if label == RANDOM_ACTIVITY:
+                assert original is None
+                continue
+            if label == ATTRIBUTE_SWAP:
+                assert event.attributes != original.attributes
+                assert event == replace(original, attributes=event.attributes)
+            elif label == TIMESTAMP_SHIFT:
+                assert event.timestamp != original.timestamp
+                assert event == replace(original, timestamp=event.timestamp)
+            else:
+                assert event == original
+
+
+class TestPinnedBytes:
+    def test_detect_2k_seed_11_inputs(self):
+        # The detect-2k benchmark inputs for --seed 11 (generate 11, inject
+        # 12), pinned as "11-12" in bench/digests.json: any change to
+        # generation, injection, the log writer or the truth CSV shows here.
+        clean = generate(benchmark_config(n_orders=320, seed=11))
+        log, truth = inject_all(clean, plan_injection(len(clean.events), 0.10, 12))
+        log_digest = hashlib.sha256(write_ocel_json(log)).hexdigest()
+        truth_digest = hashlib.sha256(truth.to_csv().encode("utf-8")).hexdigest()
+        assert log_digest == "a3b111e04b606b7d05c06ff4b12ea82f4a8377b71437a0856ca414d79ba19e97"
+        assert truth_digest == "34ee1dc5a686263bc6f3806df094c4997e614a271a3553695d06a30b6f60d7e9"
 
 
 class TestGroundTruth:

@@ -3,9 +3,12 @@
 import json
 import logging
 import math
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ocelad.ocel import (
     AttributeKind,
@@ -20,13 +23,84 @@ from ocelad.ocel import (
     ObjectEntry,
     UnsupportedAttributeValueError,
     assemble_log,
-    format_timestamp,
+    format_timestamps,
     parse_ocel_json,
     parse_timestamp,
     write_ocel_json,
 )
 
-from conftest import assert_logs_equal, golden_log_bytes, make_log
+from conftest import AWKWARD_CHARACTERS, assert_logs_equal, golden_log_bytes, make_log
+
+
+FIRST_MILLIS = -62_135_596_800_000  # 0001-01-01T00:00:00.000
+LAST_MILLIS = 253_402_300_799_999  # 9999-12-31T23:59:59.999
+
+
+def reference_format_timestamp(millis):
+    """Timestamp formatting through ``datetime``, one value at a time."""
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    return (epoch + timedelta(milliseconds=int(millis))).isoformat(timespec="milliseconds")
+
+
+def reference_document(log):
+    """The OCEL document ``write_ocel_json`` lays out, as ``json.dumps(indent=2)`` would."""
+    return {
+        "ocel:global-log": {
+            "ocel:object-types": sorted(log.object_types),
+            "ocel:attribute-names": sorted(log.schema),
+        },
+        "ocel:events": {
+            e.event_id: {
+                "ocel:activity": e.activity,
+                "ocel:timestamp": reference_format_timestamp(e.timestamp),
+                "ocel:omap": sorted(e.object_refs),
+                "ocel:vmap": {name: e.attributes[name] for name in sorted(e.attributes)},
+            }
+            for e in log.events
+        },
+        "ocel:objects": {
+            o.object_id: {"ocel:type": o.object_type, "ocel:ovmap": {}} for o in log.objects
+        },
+    }
+
+
+log_texts = st.text(
+    st.one_of(st.sampled_from(AWKWARD_CHARACTERS), st.characters(blacklist_categories=("Cs",))),
+    min_size=1,
+    max_size=6,
+)
+log_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e22, 1e16, 0.1]),
+)
+log_timestamps = st.one_of(
+    st.integers(FIRST_MILLIS, LAST_MILLIS),
+    st.sampled_from([FIRST_MILLIS, LAST_MILLIS, -1, 0, 1]),
+)
+
+
+@st.composite
+def logs(draw):
+    """Valid logs with arbitrary text, float attributes and empty vmaps."""
+    object_ids = draw(st.lists(log_texts, min_size=1, max_size=4, unique=True))
+    objects = [ObjectEntry(object_id=o, object_type=draw(log_texts)) for o in object_ids]
+    names = draw(st.lists(log_texts, max_size=4, unique=True))
+    numeric = set(names[: draw(st.integers(0, len(names)))])
+    events = []
+    for event_id in draw(st.lists(log_texts, max_size=5, unique=True)):
+        present = draw(st.sets(st.sampled_from(names))) if names else set()
+        events.append(
+            Event(
+                event_id=event_id,
+                activity=draw(log_texts),
+                timestamp=draw(log_timestamps),
+                object_refs=frozenset(draw(st.sets(st.sampled_from(object_ids), min_size=1))),
+                attributes={
+                    name: draw(log_floats if name in numeric else log_texts) for name in present
+                },
+            )
+        )
+    return assemble_log(events, objects)
 
 
 def doc_with(events=None, objects=None, types=("A",), attrs=()):
@@ -240,11 +314,26 @@ class TestTimestamps:
     def test_round_trip_across_range(self, year):
         text = f"{year}-06-15T12:34:56.789+00:00"
         millis = parse_timestamp(text)
-        assert parse_timestamp(format_timestamp(millis)) == millis
+        assert parse_timestamp(format_timestamps([millis])[0]) == millis
 
     def test_invalid(self):
         with pytest.raises(InvalidTimestampError):
             parse_timestamp("15/06/2023 12:00")
+
+    @given(st.lists(log_timestamps, max_size=20))
+    @example([FIRST_MILLIS, LAST_MILLIS, -1, -999, -1000, -1001, 0])
+    def test_batch_format_matches_datetime(self, millis):
+        assert format_timestamps(millis) == [reference_format_timestamp(m) for m in millis]
+
+    @pytest.mark.parametrize("millis", [FIRST_MILLIS - 1, LAST_MILLIS + 1, 10**30, -(10**30)])
+    def test_out_of_range_raises(self, millis):
+        with pytest.raises(OverflowError):
+            reference_format_timestamp(millis)
+        with pytest.raises(OverflowError):
+            format_timestamps([0, millis])
+        log = make_log([("e1", "a", millis, ["o1"], {})], {"o1": "T"})
+        with pytest.raises(OverflowError):
+            write_ocel_json(log)
 
 
 class TestRoundTrip:
@@ -274,6 +363,22 @@ class TestRoundTrip:
 
     def test_write_deterministic(self, golden_log):
         assert write_ocel_json(golden_log) == write_ocel_json(golden_log)
+
+    @pytest.mark.parametrize(
+        "value", [True, None, [], {}, [1, "é", {"k": [None, -0.0]}], {"k": {"j": 2}}]
+    )
+    def test_write_matches_stdlib_layout_for_other_values(self, value):
+        # The log model admits these, though the reader rejects them.
+        log = make_log([("e1", "a", 0, ["o1"], {"v": value})], {"o1": "T"})
+        expected = json.dumps(reference_document(log), indent=2, ensure_ascii=False)
+        assert write_ocel_json(log) == expected.encode()
+
+    @settings(deadline=None)
+    @given(logs())
+    def test_write_matches_stdlib_layout_and_round_trips(self, log):
+        data = write_ocel_json(log)
+        assert data == json.dumps(reference_document(log), indent=2, ensure_ascii=False).encode()
+        assert parse_ocel_json(data) == log
 
 
 class TestValidate:

@@ -2,17 +2,22 @@
 
 import csv
 import io
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ocelad.ocel import DuplicateIdError
 from ocelad.scoring import (
     DetectionReport,
     EmptyInputError,
     LengthMismatchError,
     NoPositivesError,
     SingleClassError,
+    MetricsBlock,
     ThresholdResult,
     auc_pr,
     auc_roc,
@@ -28,6 +33,77 @@ from ocelad.scoring import (
     report_to_json,
 )
 from ocelad.numerics import make_rng
+
+from conftest import AWKWARD_CHARACTERS
+
+
+def reference_report_document(report):
+    """The document ``report_to_json`` lays out, as ``json.dumps(doc, indent=2)`` would."""
+    events = []
+    for index, event_id in enumerate(report.event_ids):
+        entry = {
+            "event_id": event_id,
+            "score": float(report.scores[index]),
+            "label": "anomalous" if report.labels[index] else "normal",
+        }
+        if report.truth is not None:
+            entry["truth"] = report.truth[index]
+        events.append(entry)
+    doc = {
+        "threshold": {
+            "q1": report.threshold.q1,
+            "q3": report.threshold.q3,
+            "iqr": report.threshold.iqr,
+            "tau": report.threshold.tau,
+            "k_factor": report.threshold.k_factor,
+        },
+        "events": events,
+    }
+    if report.metrics is not None:
+        doc["metrics"] = {
+            "f1": report.metrics.f1,
+            "auc_roc": report.metrics.auc_roc,
+            "auc_pr": report.metrics.auc_pr,
+            "recall_at_k": report.metrics.recall_at_k,
+            "k": report.metrics.k,
+            "per_type_recall": dict(sorted(report.metrics.per_type_recall.items())),
+        }
+    return doc
+
+
+report_texts = st.text(
+    st.one_of(st.sampled_from(AWKWARD_CHARACTERS), st.characters(blacklist_categories=("Cs",))),
+    max_size=6,
+)
+report_floats = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 5e-324, 1e22, 1e16, 0.1])
+)
+
+
+@st.composite
+def reports(draw):
+    event_ids = tuple(draw(st.lists(report_texts, max_size=6, unique=True)))
+    n = len(event_ids)
+    scores = np.array(draw(st.lists(report_floats, min_size=n, max_size=n)), dtype=np.float64)
+    labels = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    q1, q3, iqr, tau = (draw(report_floats) for _ in range(4))
+    k_factor = draw(st.one_of(report_floats, st.integers(0, 3)))
+    truth = None
+    if draw(st.booleans()):
+        truth = tuple(draw(st.lists(report_texts, min_size=n, max_size=n)))
+    metrics = None
+    if draw(st.booleans()):
+        f1, auc, ap, recall = (draw(report_floats) for _ in range(4))
+        per_type = draw(st.dictionaries(report_texts, report_floats, max_size=3))
+        metrics = MetricsBlock(f1, auc, ap, recall, draw(st.integers(0, 99)), per_type)
+    return DetectionReport(
+        event_ids=event_ids,
+        scores=scores,
+        labels=labels,
+        threshold=ThresholdResult(q1=q1, q3=q3, iqr=iqr, tau=tau, k_factor=k_factor),
+        truth=truth,
+        metrics=metrics,
+    )
 
 
 def auc_roc_pair_oracle(scores, truth) -> Fraction:
@@ -315,6 +391,25 @@ class TestReportSerialization:
     def test_csv_without_truth(self):
         text = report_to_csv(self.build_report(with_truth=False))
         assert text.splitlines()[0] == "event_id,score,label"
+
+    @settings(deadline=None)
+    @given(reports())
+    def test_json_matches_stdlib_layout(self, report):
+        assert report_to_json(report) == json.dumps(reference_report_document(report), indent=2)
+
+    def test_json_repeated_event_id_rejected(self):
+        # One real anomaly listed twice would otherwise score k=2 with a
+        # perfect F1, AUC and recall.
+        doc = json.loads(report_to_json(self.build_report()))
+        doc["events"][0]["event_id"] = "e5"
+        with pytest.raises(DuplicateIdError):
+            report_from_json(json.dumps(doc))
+
+    def test_json_repeated_key_rejected(self):
+        text = report_to_json(self.build_report())
+        repeated = text.replace('"events": [', '"events": [], "events": [', 1)
+        with pytest.raises(DuplicateIdError):
+            report_from_json(repeated)
 
     def test_metrics_block_embedded(self):
         report = self.build_report()
