@@ -36,14 +36,7 @@ from .injection import (
     inject_all,
     plan_injection,
 )
-from .instances import (
-    ProcessInstance,
-    ProcessInstanceSet,
-    Trace,
-    build_edges,
-    build_instances,
-    build_traces,
-)
+from .instances import ProcessInstance, ProcessInstanceSet, build_instances
 from .ocel import (
     Event,
     ObjectCentricLog,
@@ -86,7 +79,6 @@ __all__ = [
     "ProcessInstanceSet",
     "SparseAdjacency",
     "ThresholdResult",
-    "Trace",
     "TrainConfig",
     "TrainReport",
     "auc_pr",
@@ -94,10 +86,8 @@ __all__ = [
     "backward",
     "benchmark_config",
     "build_adjacency",
-    "build_edges",
     "build_instances",
     "build_layout",
-    "build_traces",
     "compute_metrics",
     "encode_features",
     "encode_log",

@@ -1,12 +1,12 @@
 """Input-graph encoding: sparse adjacency, normalization, feature matrix.
 
-All process instances are combined into one disconnected graph. The graph is
-encoded as a sparse adjacency matrix (CSR, implicit unit values), its
-symmetrically normalized self-looped variant used by the graph convolutions,
-and a dense per-event feature matrix with a deterministic column layout:
-activity one-hots first, then one block per categorical attribute (sorted
-values plus a trailing missing-value column), then one column per numeric
-attribute (min-max scaled by default).
+The edge array of ``build_instances`` already holds all process instances as
+one disconnected graph. It is encoded as a sparse adjacency matrix (CSR,
+implicit unit values), its symmetrically normalized self-looped variant used
+by the graph convolutions, and a dense per-event feature matrix with a
+deterministic column layout: activity one-hots first, then one block per
+categorical attribute (sorted values plus a trailing missing-value column),
+then one column per numeric attribute (min-max scaled by default).
 """
 
 from __future__ import annotations
@@ -91,10 +91,6 @@ class FeatureGroup:
     max_value: float = 0.0
 
     @property
-    def width(self) -> int:
-        return self.stop - self.start
-
-    @property
     def missing_column(self) -> int | None:
         if self.kind is GroupKind.CATEGORICAL:
             return self.stop - 1
@@ -122,30 +118,32 @@ class EncodedGraph:
         return self.adjacency.n
 
 
-def _csr_from_pairs(n: int, pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indptr, indices) from (row, col) pairs sorted lexicographically."""
-    if pairs:
-        arr = np.array(pairs, dtype=np.int64)
-        rows, cols = arr[:, 0], arr[:, 1]
-    else:
-        rows = np.zeros(0, dtype=np.int64)
-        cols = np.zeros(0, dtype=np.int64)
-    counts = np.bincount(rows, minlength=n)
+def _csr(
+    n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray | None = None
+) -> SparseAdjacency:
+    """The n x n matrix of (row, col) entries sorted lexicographically, no duplicates."""
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, cols
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return SparseAdjacency(n=n, indptr=indptr, indices=cols, weights=weights)
 
 
 def build_adjacency(instance_set: ProcessInstanceSet, n: int) -> SparseAdjacency:
-    """Union of all instance edge sets as one n x n sparse matrix."""
-    pairs = sorted({edge for inst in instance_set.instances for edge in inst.edges})
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise IndexOutOfRangeError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
-        if u == v:
-            raise IndexOutOfRangeError(f"diagonal entry ({u}, {u}) not allowed")
-    indptr, indices = _csr_from_pairs(n, pairs)
-    return SparseAdjacency(n=n, indptr=indptr, indices=indices)
+    """The event graph's edge array as one n x n sparse matrix.
+
+    Entries are sorted as flat keys ``row * n + col``, which orders them by
+    (row, col) and merges duplicates in one 1-D ``np.unique``.
+    """
+    edges = np.asarray(instance_set.edges, dtype=np.int64)
+    outside = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
+    if outside.size:
+        u, v = edges[outside[0]]
+        raise IndexOutOfRangeError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
+    diagonal = np.flatnonzero(edges[:, 0] == edges[:, 1])
+    if diagonal.size:
+        u = edges[diagonal[0], 0]
+        raise IndexOutOfRangeError(f"diagonal entry ({u}, {u}) not allowed")
+    rows, cols = np.divmod(np.unique(edges[:, 0] * n + edges[:, 1]), n)
+    return _csr(n, rows, cols)
 
 
 def normalize_adjacency(adjacency: SparseAdjacency) -> SparseAdjacency:
@@ -160,19 +158,12 @@ def normalize_adjacency(adjacency: SparseAdjacency) -> SparseAdjacency:
     row_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(adjacency.indptr))
     col_ids = adjacency.indices
     diag = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([row_ids, col_ids, diag])
-    cols = np.concatenate([col_ids, row_ids, diag])
-    entries = np.unique(np.stack([rows, cols], axis=1), axis=0)
-    rows, cols = entries[:, 0], entries[:, 1]
+    keys = np.concatenate([row_ids * n + col_ids, col_ids * n + row_ids, diag * (n + 1)])
+    rows, cols = np.divmod(np.unique(keys), n)
 
     degrees = np.bincount(rows, minlength=n).astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    weights = inv_sqrt[rows] * inv_sqrt[cols]
-
-    counts = np.bincount(rows, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return SparseAdjacency(n=n, indptr=indptr, indices=cols, weights=weights)
+    return _csr(n, rows, cols, weights=inv_sqrt[rows] * inv_sqrt[cols])
 
 
 def build_layout(log: ObjectCentricLog) -> FeatureLayout:

@@ -178,20 +178,22 @@ def _infer_schema(
 
     An attribute is numeric iff every occurrence is a number; an attribute
     with only text occurrences is categorical; a mix of the two is an error,
-    and so is a number that is not finite. Declared but never-observed
-    attributes default to categorical.
+    and so is a number that is not finite or a value that is neither a float
+    nor a string (the writer could not round-trip it). Declared but
+    never-observed attributes default to categorical.
     """
     kinds: dict[str, AttributeKind] = {}
     for event in events:
         for name, value in event.attributes.items():
-            if isinstance(value, float):
-                if not math.isfinite(value):
-                    raise UnsupportedAttributeValueError(
-                        f"event {event.event_id!r}: attribute {name!r} is not finite"
-                    )
+            if isinstance(value, float) and math.isfinite(value):
                 kind = AttributeKind.NUMERIC
-            else:
+            elif isinstance(value, str):
                 kind = AttributeKind.CATEGORICAL
+            else:
+                raise UnsupportedAttributeValueError(
+                    f"event {event.event_id!r}: attribute {name!r} is {value!r}, "
+                    "not a finite float or a string"
+                )
             previous = kinds.get(name)
             if previous is None:
                 kinds[name] = kind

@@ -134,17 +134,17 @@ def f1_score(pred: Sequence[bool] | np.ndarray, truth: Sequence[bool] | np.ndarr
 
 
 def _midranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the mean rank of their group."""
+    """1-based ranks with ties assigned the mean rank of their group.
+
+    Groups split where adjacent sorted scores differ by ``!=``, so each NaN
+    is a group of its own and equal infinities share one.
+    """
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
     sorted_scores = scores[order]
-    start = 0
-    while start < scores.size:
-        stop = start
-        while stop + 1 < scores.size and sorted_scores[stop + 1] == sorted_scores[start]:
-            stop += 1
-        ranks[order[start : stop + 1]] = (start + stop) / 2.0 + 1.0
-        start = stop + 1
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    stops = np.r_[starts[1:], scores.size] - 1
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + stops) / 2.0 + 1.0, stops - starts + 1)
     return ranks
 
 
@@ -177,14 +177,11 @@ def auc_pr(scores: Sequence[float] | np.ndarray, truth: Sequence[bool] | np.ndar
     n_pos = int(truth.sum())
     if n_pos == 0:
         raise NoPositivesError("average precision needs at least one true anomaly")
-    order = _descending_order(scores)
-    true_positives = 0
-    total = 0.0
-    for rank, index in enumerate(order, start=1):
-        if truth[index]:
-            true_positives += 1
-            total += (1.0 / n_pos) * (true_positives / rank)
-    return total
+    hits = truth[_descending_order(scores)]
+    ranks = np.flatnonzero(hits) + 1
+    true_positives = np.arange(1, n_pos + 1)
+    # cumsum adds the terms one by one in rank order, as a running sum would.
+    return float(np.cumsum((1.0 / n_pos) * (true_positives / ranks))[-1])
 
 
 def recall_at_k(

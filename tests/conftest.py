@@ -41,9 +41,12 @@ GOLDEN_ROWS = [
 GOLDEN_OBJECTS = {f"a{i}": "A" for i in (1, 2, 3)} | {f"b{i}": "B" for i in (1, 2, 3)}
 
 
-# Characters that JSON string escaping must handle: quotes, backslashes,
-# control characters, line separators, non-ASCII and non-BMP characters.
-AWKWARD_CHARACTERS = ['"', "\\", "\x00", "\x1f", "\n", "\r", "\x7f", "\u2028", "é", "\U0001f600"]
+# Characters that JSON string escaping and CSV quoting must handle: commas,
+# quotes, backslashes, control characters, line separators, non-ASCII and
+# non-BMP characters.
+AWKWARD_CHARACTERS = [
+    ",", '"', "\\", "\x00", "\x1f", "\n", "\r", "\x7f", "\u2028", "é", "\U0001f600"
+]
 
 
 def golden_log_bytes() -> bytes:
@@ -114,6 +117,22 @@ def random_log(rng: np.random.Generator, max_events: int = 12) -> ObjectCentricL
             (f"e{i:03d}", f"act{int(rng.integers(0, 4))}", int(rng.integers(0, 10_000)), refs, attrs)
         )
     return make_log(rows, objects)
+
+
+def oracle_traces(log: ObjectCentricLog) -> dict[str, tuple[int, ...]]:
+    """Independent trace oracle: each object's event indices by (timestamp, event id)."""
+    members: dict[str, list[int]] = {o.object_id: [] for o in log.objects}
+    for index, event in enumerate(log.events):
+        for object_id in event.object_refs:
+            members[object_id].append(index)
+    for indices in members.values():
+        indices.sort(key=lambda i: (log.events[i].timestamp, log.events[i].event_id))
+    return {object_id: tuple(indices) for object_id, indices in members.items()}
+
+
+def oracle_edges(log: ObjectCentricLog) -> set[tuple[int, int]]:
+    """Directed edges between consecutive trace events, merged across traces."""
+    return {pair for seq in oracle_traces(log).values() for pair in zip(seq, seq[1:])}
 
 
 def bfs_components(n: int, edges: set[tuple[int, int]]) -> set[frozenset[int]]:

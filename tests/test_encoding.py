@@ -156,25 +156,30 @@ class TestAdjacency:
             n = len(log.events)
             instance_set = build_instances(log)
             dense = np.zeros((n, n))
-            for inst in instance_set.instances:
-                for u, v in inst.edges:
-                    dense[u, v] = 1.0
+            for u, v in instance_set.edges:
+                dense[u, v] = 1.0
             adjacency = build_adjacency(instance_set, n)
             np.testing.assert_array_equal(adjacency.to_dense(), dense)
 
     def test_index_out_of_range(self):
         bad = ProcessInstanceSet(
-            instances=(ProcessInstance(node_indices=frozenset({0, 9}), edges=frozenset({(0, 9)})),)
+            edges=np.array([[0, 1], [0, 9]]), instances=(ProcessInstance(frozenset({0, 1, 9})),)
         )
         with pytest.raises(IndexOutOfRangeError):
             build_adjacency(bad, 2)
 
     def test_diagonal_rejected(self):
         bad = ProcessInstanceSet(
-            instances=(ProcessInstance(node_indices=frozenset({1}), edges=frozenset({(1, 1)})),)
+            edges=np.array([[0, 1], [1, 1]]), instances=(ProcessInstance(frozenset({0, 1})),)
         )
         with pytest.raises(IndexOutOfRangeError):
             build_adjacency(bad, 2)
+
+    def test_unsorted_repeated_edges_merged(self):
+        edges = np.array([[2, 0], [0, 1], [2, 0], [1, 2], [0, 2]])
+        adjacency = build_adjacency(ProcessInstanceSet(edges, ()), 3)
+        np.testing.assert_array_equal(adjacency.indptr, [0, 2, 3, 4])
+        np.testing.assert_array_equal(adjacency.indices, [1, 2, 2, 0])
 
 
 class TestNormalization:
@@ -263,7 +268,7 @@ class TestLayout:
         )
         layout = build_layout(log)
         group = next(g for g in layout.groups if g.name == "c")
-        assert group.width == 4
+        assert group.stop - group.start == 4
         assert group.missing_column == group.stop - 1
 
     def test_numeric_bounds_recorded(self, golden_log):

@@ -1,6 +1,8 @@
 """Injection planning, the three anomaly types, and the full harness."""
 
+import csv
 import hashlib
+import io
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -25,10 +27,10 @@ from ocelad.injection import (
     inject_all,
     plan_injection,
 )
-from ocelad.instances import build_instances, build_traces
+from ocelad.instances import build_instances
 from ocelad.ocel import DuplicateIdError, parse_ocel_json, write_ocel_json
 
-from conftest import GOLDEN_ROWS, make_log
+from conftest import AWKWARD_CHARACTERS, GOLDEN_ROWS, make_log, oracle_traces
 
 
 class TestPlan:
@@ -282,11 +284,11 @@ class TestTimestampShift:
 
     def test_trace_order_changes_with_positive_probability(self):
         log = self.shift_log()
-        original_order = build_traces(log)["o1"].event_indices
+        original_order = oracle_traces(log)["o1"]
         changes = 0
         for seed in range(100):
             mutated, _ = inject_all(log, single_type_plan(seed, timestamp_shift=1))
-            if build_traces(mutated)["o1"].event_indices != original_order:
+            if oracle_traces(mutated)["o1"] != original_order:
                 changes += 1
         assert changes >= 1
 
@@ -474,6 +476,20 @@ class TestGroundTruth:
         assert text.endswith("\ne2,attr_swap\nx9,random_activity\n")
         again = GroundTruth.from_csv(text)
         assert again == truth
+
+    @settings(deadline=None)
+    @given(
+        st.dictionaries(
+            st.text(st.one_of(st.sampled_from(AWKWARD_CHARACTERS), st.characters()), max_size=6),
+            st.sampled_from(["normal", ATTRIBUTE_SWAP, TIMESTAMP_SHIFT, RANDOM_ACTIVITY]),
+            max_size=8,
+        )
+    )
+    def test_csv_round_trip_arbitrary_ids(self, labels):
+        text = GroundTruth(labels=labels).to_csv()
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert rows == [["event_id", "label"], *(list(item) for item in labels.items())]
+        assert GroundTruth.from_csv(text).labels == labels
 
     def test_csv_repeated_event_id_rejected(self):
         with pytest.raises(DuplicateIdError):

@@ -1,17 +1,14 @@
-"""Trace building, edge derivation, and process-instance reconstruction."""
+"""Trace edges and process-instance reconstruction."""
 
-import pytest
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ocelad.generator import GenConfig, generate
-from ocelad.instances import (
-    Trace,
-    build_edges,
-    build_instances,
-    build_traces,
-)
+from ocelad.instances import build_instances
 from ocelad.numerics import make_rng
 
-from conftest import bfs_components, make_log, random_log
+from conftest import bfs_components, make_log, oracle_edges, oracle_traces, random_log
 
 # Expected consecutive-pair edges of the worked example, as event-id pairs.
 GOLDEN_EDGES = {
@@ -33,66 +30,70 @@ def id_set(log, indices):
     return {log.events[i].event_id for i in indices}
 
 
+def object_edges(log, object_id):
+    """Event-id edges whose two events both reference ``object_id``."""
+    refs = [object_id in event.object_refs for event in log.events]
+    return id_edges(log, [(u, v) for u, v in build_instances(log).edges if refs[u] and refs[v]])
+
+
+@st.composite
+def small_logs(draw):
+    """Logs with timestamp ties, multi-object events, unused objects, awkward ids."""
+    n_objects = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.text(max_size=3), max_size=10, unique=True))
+    rows = []
+    for event_id in ids:
+        refs = draw(st.sets(st.integers(0, n_objects - 1), min_size=1, max_size=3))
+        rows.append((event_id, "a", draw(st.integers(0, 3)), [f"o{r}" for r in refs], {}))
+    return make_log(rows, {f"o{i}": "T" for i in range(n_objects)})
+
+
 class TestTraces:
     def test_golden_a1(self, golden_log):
-        traces = build_traces(golden_log)
-        assert [golden_log.events[i].event_id for i in traces["a1"].event_indices] == [
-            "e1",
-            "e4",
-            "e7",
-        ]
+        assert object_edges(golden_log, "a1") == {("e1", "e4"), ("e4", "e7")}
 
     def test_golden_b2(self, golden_log):
-        traces = build_traces(golden_log)
-        assert [golden_log.events[i].event_id for i in traces["b2"].event_indices] == [
-            "e2",
-            "e3",
-            "e6",
-        ]
+        assert object_edges(golden_log, "b2") == {("e2", "e3"), ("e3", "e6")}
 
     def test_singleton_trace(self):
         log = make_log(
             [("e1", "a", 0, ["o1"], {}), ("e2", "b", 1, ["o2"], {})],
             {"o1": "T", "o2": "T"},
         )
-        traces = build_traces(log)
-        assert traces["o2"].event_indices == (1,)
+        assert build_instances(log).edges.shape == (0, 2)
 
     def test_object_with_no_events_gets_empty_trace(self):
         log = make_log([("e1", "a", 0, ["o1"], {})], {"o1": "T", "lonely": "T"})
-        assert build_traces(log)["lonely"].event_indices == ()
+        result = build_instances(log)
+        assert result.edges.shape == (0, 2)
+        assert [inst.node_indices for inst in result.instances] == [frozenset({0})]
 
     def test_timestamp_tie_broken_by_event_id(self):
         log = make_log(
             [("b_event", "a", 5, ["o1"], {}), ("a_event", "a", 5, ["o1"], {})],
             {"o1": "T"},
         )
-        traces = build_traces(log)
-        ids = [log.events[i].event_id for i in traces["o1"].event_indices]
-        assert ids == ["a_event", "b_event"]
+        assert id_edges(log, build_instances(log).edges) == {("a_event", "b_event")}
 
 
 class TestEdges:
     def test_golden_edge_set(self, golden_log):
-        edges = build_edges(build_traces(golden_log))
+        edges = build_instances(golden_log).edges
+        assert edges.dtype == np.int64 and edges.shape == (len(GOLDEN_EDGES), 2)
+        assert edges.tolist() == sorted(edges.tolist())
         assert id_edges(golden_log, edges) == GOLDEN_EDGES
 
     def test_two_event_trace(self):
         log = make_log([("x", "a", 0, ["o1"], {}), ("y", "b", 1, ["o1"], {})], {"o1": "T"})
-        assert id_edges(log, build_edges(build_traces(log))) == {("x", "y")}
+        assert id_edges(log, build_instances(log).edges) == {("x", "y")}
 
     def test_shared_consecutive_pair_merged(self, golden_log):
         # a1 and a3 both contain the consecutive pair (e4, e7).
-        traces = build_traces(golden_log)
-        a1 = traces["a1"].event_indices
-        a3 = traces["a3"].event_indices
+        traces = oracle_traces(golden_log)
+        a1, a3 = traces["a1"], traces["a3"]
         assert (a1[1], a1[2]) == (a3[0], a3[1])
-        edges = build_edges(traces)
-        assert sum(1 for e in id_edges(golden_log, edges) if e == ("e4", "e7")) == 1
-
-    def test_self_edge_rejected(self):
-        with pytest.raises(ValueError):
-            build_edges({"o": Trace(object_id="o", event_indices=(1, 1))})
+        edges = build_instances(golden_log).edges.tolist()
+        assert edges.count([a1[1], a1[2]]) == 1
 
 
 class TestInstances:
@@ -105,9 +106,10 @@ class TestInstances:
         }
 
     def test_instance_edges_stay_within_nodes(self, golden_log):
-        for inst in build_instances(golden_log).instances:
-            for u, v in inst.edges:
-                assert u in inst.node_indices and v in inst.node_indices
+        result = build_instances(golden_log)
+        home = {i: inst for inst in result.instances for i in inst.node_indices}
+        for u, v in result.edges.tolist():
+            assert home[u] is home[v]
 
     def test_single_shared_object(self):
         rows = [(f"e{i}", "a", i, ["hub"], {}) for i in range(6)]
@@ -120,18 +122,19 @@ class TestInstances:
         rng = make_rng(77)
         for _ in range(50):
             log = random_log(rng)
-            for inst in build_instances(log).instances:
-                for u, v in inst.edges:
-                    assert log.events[u].timestamp <= log.events[v].timestamp
+            for u, v in build_instances(log).edges.tolist():
+                assert log.events[u].timestamp <= log.events[v].timestamp
 
-    def test_union_find_matches_bfs_on_random_logs(self):
-        rng = make_rng(123)
-        for _ in range(1000):
-            log = random_log(rng)
-            edges = build_edges(build_traces(log))
-            expected = bfs_components(len(log.events), edges)
-            got = {inst.node_indices for inst in build_instances(log).instances}
-            assert got == expected
+    @settings(deadline=None, max_examples=300)
+    @given(log=small_logs())
+    @example(log=make_log([], {"o1": "T"}))
+    @example(log=make_log([("a\x00", "a", 0, ["o1"], {}), ("a", "a", 0, ["o1"], {})], {"o1": "T"}))
+    def test_matches_oracle_and_bfs(self, log):
+        result = build_instances(log)
+        assert result.edges.dtype == np.int64 and result.edges.shape[1] == 2
+        assert result.edges.tolist() == [list(edge) for edge in sorted(oracle_edges(log))]
+        expected = bfs_components(len(log.events), oracle_edges(log))
+        assert [inst.node_indices for inst in result.instances] == sorted(expected, key=min)
 
     def test_partition_invariant_on_generated_log(self):
         log = generate(GenConfig(n_orders=40, seed=5))
@@ -144,5 +147,6 @@ class TestInstances:
             union |= inst.node_indices
 
     def test_deterministic(self, golden_log):
-        assert build_instances(golden_log) == build_instances(golden_log)
-
+        first, second = build_instances(golden_log), build_instances(golden_log)
+        np.testing.assert_array_equal(first.edges, second.edges)
+        assert first.instances == second.instances

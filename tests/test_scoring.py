@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,7 @@ from ocelad.scoring import (
     report_to_json,
 )
 from ocelad.numerics import make_rng
+from ocelad.scoring import _descending_order, _midranks
 
 from conftest import AWKWARD_CHARACTERS
 
@@ -138,6 +140,42 @@ def recall_at_k_oracle(scores, truth, k) -> Fraction:
     hits = sum(1 for i in order[:k] if truth[i])
     return Fraction(hits, sum(truth))
 
+
+
+def loop_midranks(scores: np.ndarray) -> np.ndarray:
+    """The per-group loop that ``_midranks`` replaced, kept as its oracle."""
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    sorted_scores = scores[order]
+    start = 0
+    while start < scores.size:
+        stop = start
+        while stop + 1 < scores.size and sorted_scores[stop + 1] == sorted_scores[start]:
+            stop += 1
+        ranks[order[start : stop + 1]] = (start + stop) / 2.0 + 1.0
+        start = stop + 1
+    return ranks
+
+
+def loop_auc_pr(scores: np.ndarray, truth: np.ndarray) -> float:
+    """The running-sum loop that ``auc_pr`` replaced, kept as its oracle."""
+    n_pos = int(truth.sum())
+    true_positives = 0
+    total = 0.0
+    for rank, index in enumerate(_descending_order(scores), start=1):
+        if truth[index]:
+            true_positives += 1
+            total += (1.0 / n_pos) * (true_positives / rank)
+    return total
+
+
+tie_prone_scores = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 0.1, 0.3, 1.0, math.inf, -math.inf, math.nan]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    max_size=40,
+)
 
 class TestQuantile:
     def test_single_value(self):
@@ -348,6 +386,16 @@ class TestAgainstExactOracles:
                 recall_at_k_oracle(scores, truth, k)
             )
 
+    @settings(deadline=None, max_examples=300)
+    @given(scores=tie_prone_scores, data=st.data())
+    def test_vectorized_ranks_and_ap_match_loops_bitwise(self, scores, data):
+        n = len(scores)
+        scores = np.array(scores, dtype=np.float64)
+        assert _midranks(scores).tobytes() == loop_midranks(scores).tobytes()
+        truth = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        if truth.any():
+            assert auc_pr(scores, truth).hex() == loop_auc_pr(scores, truth).hex()
+
 
 class TestReportSerialization:
     def build_report(self, with_truth=True):
@@ -387,6 +435,19 @@ class TestReportSerialization:
         rows = list(csv.reader(io.StringIO(report_to_csv(report), newline="")))
         assert [row[0] for row in rows[1:]] == list(report.event_ids)
         assert all(len(row) == 4 for row in rows)
+
+    @settings(deadline=None)
+    @given(reports())
+    def test_csv_reads_back(self, report):
+        expected = [
+            [event_id, repr(float(score)), "anomalous" if label else "normal"]
+            + ([] if report.truth is None else [report.truth[index]])
+            for index, (event_id, score, label) in enumerate(
+                zip(report.event_ids, report.scores, report.labels)
+            )
+        ]
+        rows = list(csv.reader(io.StringIO(report_to_csv(report), newline="")))
+        assert rows[1:] == expected
 
     def test_csv_without_truth(self):
         text = report_to_csv(self.build_report(with_truth=False))
