@@ -5,8 +5,9 @@ output files. Settings resolve as flags > config file (--config, JSON)
 > built-in defaults; the pipeline echoes its effective settings into a
 manifest next to the artifacts.
 
-Exit codes: 0 success, 2 configuration or I/O error, 3 injection infeasible,
-4 numeric failure during training, 5 evaluation join failure.
+Exit codes: 0 success, 2 configuration, input or I/O error, 3 injection
+infeasible, 4 numeric failure during training, 5 evaluation join failure or
+a metric undefined on the ground truth.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,8 @@ from .ocel import ObjectCentricLog, OcelError, parse_ocel_json, write_ocel_json
 from .scoring import (
     DetectionReport,
     MetricsBlock,
+    NoPositivesError,
+    SingleClassError,
     _metrics_to_dict,
     compute_metrics,
     format_metrics_table,
@@ -117,6 +121,8 @@ def _effective(args: argparse.Namespace, defaults: dict) -> dict:
         if unknown:
             raise ValueError(f"{config_path}: unknown setting(s) {unknown}")
         for key, value in loaded.items():
+            if not isinstance(value, (int, float, str)):
+                raise ValueError(f"{config_path}: setting {key!r} is {value!r}, not a scalar")
             if key in settings:
                 settings[key] = value
     for key in defaults:
@@ -124,10 +130,6 @@ def _effective(args: argparse.Namespace, defaults: dict) -> dict:
         if value is not None:
             settings[key] = value
     return settings
-
-
-def _read_log(path: str) -> ObjectCentricLog:
-    return parse_ocel_json(Path(path).read_bytes())
 
 
 def _train_config(settings: dict, seed: int) -> TrainConfig:
@@ -150,51 +152,49 @@ def _gen_config(settings: dict) -> GenConfig:
     )
 
 
+def _detect_into(path: Path, log: ObjectCentricLog, settings: dict, seed: int) -> DetectionReport:
+    """Detection with the effective settings; the report goes to ``path`` and a CSV beside it."""
+    report = run_detection(
+        log,
+        _train_config(settings, seed),
+        k_factor=float(settings["k_factor"]),
+        scale_numeric=not settings["no_scale_numeric"],
+    )
+    path.write_text(report_to_json(report), encoding="utf-8")
+    path.with_suffix(".csv").write_text(report_to_csv(report), encoding="utf-8")
+    return report
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     settings = _effective(args, GENERATE_DEFAULTS)
     log = generate(_gen_config(settings))
     Path(args.output).write_bytes(write_ocel_json(log))
-    print(f"wrote {len(log.events)} events to {args.output}")
+    print(f"wrote {len(log.ids)} events to {args.output}")
     return 0
-
-
-def _inject_into(log: ObjectCentricLog, rate: float, seed: int):
-    plan = plan_injection(len(log.events), rate=rate, seed=seed)
-    contaminated, truth = inject_all(log, plan)
-    return contaminated, truth, plan
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
     settings = _effective(args, INJECT_DEFAULTS)
-    log = _read_log(args.input)
-    contaminated, truth, plan = _inject_into(
-        log, float(settings["rate"]), int(settings["seed"])
-    )
+    log = parse_ocel_json(Path(args.input).read_bytes())
+    plan = plan_injection(len(log.ids), float(settings["rate"]), int(settings["seed"]))
+    contaminated, truth = inject_all(log, plan)
     Path(args.output).write_bytes(write_ocel_json(contaminated))
     truth_path = args.truth or str(Path(args.output).with_suffix(".truth.csv"))
     Path(truth_path).write_text(truth.to_csv(), encoding="utf-8")
     print(
         f"injected {plan.total} anomalies "
         f"({plan.attr_swap}/{plan.timestamp_shift}/{plan.random_activity}); "
-        f"final log has {len(contaminated.events)} events"
+        f"final log has {len(contaminated.ids)} events"
     )
     return 0
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     settings = _effective(args, DETECT_DEFAULTS)
-    log = _read_log(args.input)
-    if not log.events:
+    log = parse_ocel_json(Path(args.input).read_bytes())
+    if not log.ids:
         raise ValueError("cannot run detection on an empty log")
-    report = run_detection(
-        log,
-        _train_config(settings, int(settings["seed"])),
-        k_factor=float(settings["k_factor"]),
-        scale_numeric=not settings["no_scale_numeric"],
-    )
-    json_path = Path(args.output)
-    json_path.write_text(report_to_json(report), encoding="utf-8")
-    json_path.with_suffix(".csv").write_text(report_to_csv(report), encoding="utf-8")
+    report = _detect_into(Path(args.output), log, settings, int(settings["seed"]))
     n_anomalous = int(report.labels.sum())
     print(
         f"scored {len(report.event_ids)} events; tau={report.threshold.tau:.6g}; "
@@ -228,15 +228,11 @@ def _metrics_json(named: list[tuple[str, MetricsBlock]]) -> str:
     if len(runs) > 1:
         keys = ["f1", "auc_roc", "auc_pr", "recall_at_k"]
         type_names = sorted({t for _, m in named for t in m.per_type_recall})
-        doc["mean"] = {key: float(np.mean([r[key] for r in runs])) for key in keys}
-        doc["std"] = {key: float(np.std([r[key] for r in runs], ddof=1)) for key in keys}
-        doc["mean"]["per_type_recall"] = {
-            t: float(np.mean([r["per_type_recall"][t] for r in runs])) for t in type_names
-        }
-        doc["std"]["per_type_recall"] = {
-            t: float(np.std([r["per_type_recall"][t] for r in runs], ddof=1))
-            for t in type_names
-        }
+        for stat, reduce in (("mean", np.mean), ("std", partial(np.std, ddof=1))):
+            doc[stat] = {key: float(reduce([r[key] for r in runs])) for key in keys}
+            doc[stat]["per_type_recall"] = {
+                t: float(reduce([r["per_type_recall"][t] for r in runs])) for t in type_names
+            }
     return json.dumps(doc, indent=2)
 
 
@@ -254,7 +250,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     clean_path.write_bytes(write_ocel_json(clean))
 
     inject_seed = base_seed + 1
-    contaminated, truth, plan = _inject_into(clean, float(settings["rate"]), inject_seed)
+    plan = plan_injection(len(clean.ids), float(settings["rate"]), inject_seed)
+    contaminated, truth = inject_all(clean, plan)
     contaminated_path = out_dir / "contaminated.jsonocel"
     contaminated_path.write_bytes(write_ocel_json(contaminated))
     truth_path = out_dir / "truth.csv"
@@ -264,15 +261,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     named: list[tuple[str, MetricsBlock]] = []
     report_files: list[str] = []
     for seed in detect_seeds:
-        report = run_detection(
-            contaminated,
-            _train_config(settings, seed),
-            k_factor=float(settings["k_factor"]),
-            scale_numeric=not settings["no_scale_numeric"],
-        )
         report_path = out_dir / f"report_seed{seed}.json"
-        report_path.write_text(report_to_json(report), encoding="utf-8")
-        report_path.with_suffix(".csv").write_text(report_to_csv(report), encoding="utf-8")
+        report = _detect_into(report_path, contaminated, settings, seed)
         report_files.append(report_path.name)
         named.append((report_path.name, _join_metrics(report, truth)))
 
@@ -308,6 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_shape_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--orders", type=int, default=None, help="number of orders")
+        p.add_argument("--mean-step-minutes", dest="mean_step_minutes", type=float, default=None)
         p.add_argument("--items-min", dest="items_min", type=int, default=None)
         p.add_argument("--items-max", dest="items_max", type=int, default=None)
         p.add_argument("--group-min", dest="group_min", type=int, default=None,
@@ -328,9 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON settings file")
 
     gen = sub.add_parser("generate", help="generate a synthetic order/item/package log")
-    gen.add_argument("--orders", type=int, default=None, help="number of orders")
     gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--mean-step-minutes", dest="mean_step_minutes", type=float, default=None)
     add_shape_flags(gen)
     gen.add_argument("--config", default=None, help="JSON settings file")
     gen.add_argument("--output", "-o", required=True, help="OCEL JSON output path")
@@ -359,34 +349,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pipe = sub.add_parser("pipeline", help="generate, inject, detect and evaluate in one run")
     pipe.add_argument("--output-dir", "-o", required=True)
-    pipe.add_argument("--orders", type=int, default=None)
     add_shape_flags(pipe)
     pipe.add_argument("--rate", type=float, default=None)
     pipe.add_argument("--repeat", type=int, default=None, help="number of detection seeds")
-    pipe.add_argument("--mean-step-minutes", dest="mean_step_minutes", type=float, default=None)
     add_detect_flags(pipe)
     pipe.set_defaults(func=_cmd_pipeline)
 
     return parser
 
 
+# Exit code per error, the first match wins: an infeasible injection is an
+# InjectionError too, and a malformed JSON file a ValueError.
+_EXIT_CODES = {
+    InsufficientCandidatesError: 3,
+    NonFiniteLossError: 4,
+    **dict.fromkeys((EvaluationJoinError, SingleClassError, NoPositivesError), 5),
+    **dict.fromkeys((OcelError, InjectionError, OSError, ValueError), 2),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InsufficientCandidatesError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NonFiniteLossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except EvaluationJoinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (OcelError, InjectionError, OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 
 if __name__ == "__main__":

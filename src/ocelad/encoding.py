@@ -6,7 +6,9 @@ implicit unit values), its symmetrically normalized self-looped variant used
 by the graph convolutions, and a dense per-event feature matrix with a
 deterministic column layout: activity one-hots first, then one block per
 categorical attribute (sorted values plus a trailing missing-value column),
-then one column per numeric attribute (min-max scaled by default).
+then one column per numeric attribute (min-max scaled by default). Layout and
+features are read from the log's columns: the vocabularies and codes of the
+activity and categorical attributes, and the float columns of the numerics.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .instances import ProcessInstanceSet, build_instances
+from .instances import ProcessInstanceSet, _sorted_unique, build_instances
 from .ocel import AttributeKind, ObjectCentricLog
 
 
@@ -131,7 +133,7 @@ def build_adjacency(instance_set: ProcessInstanceSet, n: int) -> SparseAdjacency
     """The event graph's edge array as one n x n sparse matrix.
 
     Entries are sorted as flat keys ``row * n + col``, which orders them by
-    (row, col) and merges duplicates in one 1-D ``np.unique``.
+    (row, col) and merges duplicates in one 1-D sort.
     """
     edges = np.asarray(instance_set.edges, dtype=np.int64)
     outside = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
@@ -142,7 +144,7 @@ def build_adjacency(instance_set: ProcessInstanceSet, n: int) -> SparseAdjacency
     if diagonal.size:
         u = edges[diagonal[0], 0]
         raise IndexOutOfRangeError(f"diagonal entry ({u}, {u}) not allowed")
-    rows, cols = np.divmod(np.unique(edges[:, 0] * n + edges[:, 1]), n)
+    rows, cols = np.divmod(_sorted_unique(edges[:, 0] * n + edges[:, 1]), n)
     return _csr(n, rows, cols)
 
 
@@ -159,7 +161,7 @@ def normalize_adjacency(adjacency: SparseAdjacency) -> SparseAdjacency:
     col_ids = adjacency.indices
     diag = np.arange(n, dtype=np.int64)
     keys = np.concatenate([row_ids * n + col_ids, col_ids * n + row_ids, diag * (n + 1)])
-    rows, cols = np.divmod(np.unique(keys), n)
+    rows, cols = np.divmod(_sorted_unique(keys), n)
 
     degrees = np.bincount(rows, minlength=n).astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(degrees)
@@ -173,68 +175,22 @@ def build_layout(log: ObjectCentricLog) -> FeatureLayout:
     name with sorted vocabularies plus a missing column each, then numeric
     attributes sorted by name with their observed min/max recorded.
     """
-    groups: list[FeatureGroup] = []
-    column = 0
-
-    activities = tuple(sorted(log.activities))
-    groups.append(
-        FeatureGroup(
-            name="activity",
-            kind=GroupKind.ACTIVITY,
-            start=column,
-            stop=column + len(activities),
-            vocabulary=activities,
-        )
-    )
-    column += len(activities)
-
-    categorical = sorted(
-        name for name, kind in log.schema.items() if kind is AttributeKind.CATEGORICAL
-    )
-    for name in categorical:
-        values = tuple(
-            sorted(
-                {
-                    event.attributes[name]
-                    for event in log.events
-                    if isinstance(event.attributes.get(name), str)
-                }
-            )
-        )
+    activities = log.activity_vocabulary
+    groups = [FeatureGroup("activity", GroupKind.ACTIVITY, 0, len(activities), activities)]
+    column = len(activities)
+    for name, values in log.vocabularies.items():
         groups.append(
-            FeatureGroup(
-                name=name,
-                kind=GroupKind.CATEGORICAL,
-                start=column,
-                stop=column + len(values) + 1,
-                vocabulary=values,
-            )
+            FeatureGroup(name, GroupKind.CATEGORICAL, column, column + len(values) + 1, values)
         )
         column += len(values) + 1
-
-    numeric = sorted(
-        name for name, kind in log.schema.items() if kind is AttributeKind.NUMERIC
-    )
-    for name in numeric:
-        observed = [
-            event.attributes[name]
-            for event in log.events
-            if isinstance(event.attributes.get(name), float)
-        ]
-        low = min(observed) if observed else 0.0
-        high = max(observed) if observed else 0.0
-        groups.append(
-            FeatureGroup(
-                name=name,
-                kind=GroupKind.NUMERIC,
-                start=column,
-                stop=column + 1,
-                min_value=low,
-                max_value=high,
-            )
-        )
-        column += 1
-
+    for name, kind in log.schema.items():
+        if kind is AttributeKind.NUMERIC:
+            observed = log.columns[name][~np.isnan(log.columns[name])]
+            # The first of equal extremes, as min() and max() pick: -0.0 or 0.0.
+            low = float(observed[observed.argmin()]) if observed.size else 0.0
+            high = float(observed[observed.argmax()]) if observed.size else 0.0
+            groups.append(FeatureGroup(name, GroupKind.NUMERIC, column, column + 1, (), low, high))
+            column += 1
     return FeatureLayout(groups=tuple(groups), n_columns=column)
 
 
@@ -247,19 +203,26 @@ def encode_features(
     sets the group's missing column. Missing numeric values encode as 0.
     With ``scale_numeric`` the numeric columns are min-max scaled to [0, 1]
     using the layout's recorded bounds (out-of-range values are clamped);
-    otherwise raw values are written.
+    otherwise raw values are written. The layout may come from another log:
+    an attribute the log lacks is missing everywhere, one of the other kind an error.
     """
-    events = log.events
-    matrix = np.zeros((len(events), layout.n_columns), dtype=np.float64)
-    rows = np.arange(len(events))
+    n = len(log.ids)
+    matrix = np.zeros((n, layout.n_columns), dtype=np.float64)
     for group in layout.groups:
-        if group.kind is GroupKind.NUMERIC:
-            column = [e.attributes.get(group.name) for e in events]
-            present = [row for row, value in enumerate(column) if value is not None]
+        numeric = group.kind is GroupKind.NUMERIC
+        kind = AttributeKind.NUMERIC if numeric else AttributeKind.CATEGORICAL
+        if group.kind is not GroupKind.ACTIVITY and log.schema.get(group.name, kind) is not kind:
+            raise UnknownCategoricalValueError(
+                f"attribute {group.name!r} is {log.schema[group.name].value} in the log "
+                f"but {group.kind.value} in the layout"
+            )
+        if numeric:
+            values = log.columns.get(group.name, np.full(n, np.nan))
+            present = np.flatnonzero(~np.isnan(values))
             span = group.max_value - group.min_value
-            if not present or (scale_numeric and span <= 0.0):
+            if not present.size or (scale_numeric and span <= 0.0):
                 continue
-            values = np.array([float(column[row]) for row in present], dtype=np.float64)
+            values = values[present]
             if scale_numeric:
                 # Clamp as min(1.0, max(0.0, x)) on Python floats does: an
                 # overflowing span passes silently, and -0.0 and NaN become 0.0
@@ -270,32 +233,31 @@ def encode_features(
                 values = np.where(scaled < 1.0, scaled, 1.0)
             matrix[present, group.start] = values
             continue
-        lookup = {value: group.start + offset for offset, value in enumerate(group.vocabulary)}
         if group.kind is GroupKind.ACTIVITY:
-            columns = [lookup.get(e.activity) for e in events]
+            vocabulary, codes = log.activity_vocabulary, log.activity_codes
         else:
-            missing = group.missing_column
-            columns = [
-                missing if value is None else lookup.get(value)
-                for value in (e.attributes.get(group.name) for e in events)
-            ]
-        if None in columns:
-            event = events[columns.index(None)]
-            value = (
-                event.activity if group.kind is GroupKind.ACTIVITY else event.attributes[group.name]
-            )
+            vocabulary = log.vocabularies.get(group.name, ())
+            codes = log.columns.get(group.name, np.full(n, -1))
+        # Code c of the log goes to column targets[c]; code -1 to the missing column.
+        lookup = {value: group.start + offset for offset, value in enumerate(group.vocabulary)}
+        targets = [lookup.get(value, -1) for value in vocabulary]
+        targets.append(-1 if group.missing_column is None else group.missing_column)
+        columns = np.array(targets, dtype=np.int64)[codes]
+        unknown = np.flatnonzero(columns < 0)
+        if unknown.size:
+            row = unknown[0]
             raise UnknownCategoricalValueError(
-                f"event {event.event_id!r}: value {value!r} of {group.name!r} "
+                f"event {log.ids[row]!r}: value {vocabulary[codes[row]]!r} of {group.name!r} "
                 "not in layout vocabulary"
             )
-        matrix[rows, columns] = 1.0
+        matrix[np.arange(n), columns] = 1.0
     return matrix
 
 
 def encode_log(log: ObjectCentricLog, scale_numeric: bool = True) -> EncodedGraph:
     """Full encoding pipeline: instances -> adjacency -> normalization -> features."""
     instance_set = build_instances(log)
-    adjacency = build_adjacency(instance_set, len(log.events))
+    adjacency = build_adjacency(instance_set, len(log.ids))
     normalized = normalize_adjacency(adjacency)
     layout = build_layout(log)
     features = encode_features(log, layout, scale_numeric=scale_numeric)

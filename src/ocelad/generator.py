@@ -58,7 +58,6 @@ def generate(config: GenConfig) -> ObjectCentricLog:
     clock = config.base_time
     events: list[Event] = []
     objects: list[ObjectEntry] = []
-    event_counter = 0
     package_counter = 0
 
     def tick() -> int:
@@ -68,11 +67,9 @@ def generate(config: GenConfig) -> ObjectCentricLog:
 
     def emit(activity: str, refs: set[str], region: str, priority: str,
              price: float, weight: float) -> None:
-        nonlocal event_counter
-        event_counter += 1
         events.append(
             Event(
-                event_id=f"ev{event_counter:06d}",
+                event_id=f"ev{len(events) + 1:06d}",
                 activity=activity,
                 timestamp=tick(),
                 object_refs=frozenset(refs),

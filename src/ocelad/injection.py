@@ -29,14 +29,17 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from collections import Counter
+from dataclasses import dataclass
+from itertools import count, islice
+from typing import Callable, Collection, Iterator
 
 import numpy as np
 
-from .encoding import GroupKind, build_layout, encode_features
+from .encoding import build_layout, encode_features
+from .instances import _sorted_unique
 from .numerics import make_rng
-from .ocel import DuplicateIdError, Event, ObjectCentricLog, assemble_log, csv_text
+from .ocel import DuplicateIdError, ObjectCentricLog, _build_log, csv_text
 
 ATTRIBUTE_SWAP = "attr_swap"
 TIMESTAMP_SHIFT = "timestamp_shift"
@@ -60,10 +63,6 @@ class InvalidRateError(InjectionError):
 
 class NoAttributesError(InjectionError):
     """The log carries no attributes, so attribute swaps are impossible."""
-
-
-class DegenerateSpanError(InjectionError):
-    """The related events of a shift target span no time at all."""
 
 
 class InsufficientCandidatesError(InjectionError):
@@ -92,11 +91,8 @@ class GroundTruth:
     labels: dict[str, str]
 
     def counts(self) -> dict[str, int]:
-        totals = {name: 0 for name in ANOMALY_TYPES}
-        for label in self.labels.values():
-            if label in totals:
-                totals[label] += 1
-        return totals
+        totals = Counter(self.labels.values())
+        return {name: totals[name] for name in ANOMALY_TYPES}
 
     def to_csv(self) -> str:
         return csv_text([_TRUTH_HEADER, *self.labels.items()])
@@ -142,12 +138,10 @@ def plan_injection(n_original: int, rate: float = 0.10, seed: int = 0) -> Inject
 
 def _attribute_columns(log: ObjectCentricLog) -> np.ndarray:
     """Encoded attribute sub-vectors (activity block dropped), scaled numerics."""
-    layout = build_layout(log)
-    non_activity = [g for g in layout.groups if g.kind is not GroupKind.ACTIVITY]
-    if not non_activity:
+    if not log.schema:
         raise NoAttributesError("log has no attributes to swap")
-    features = encode_features(log, layout, scale_numeric=True)
-    return features[:, layout.groups[0].stop :]
+    layout = build_layout(log)
+    return encode_features(log, layout, scale_numeric=True)[:, layout.groups[0].stop :]
 
 
 def _farthest_peers(
@@ -186,88 +180,44 @@ def _farthest_peers(
             yield int(target), int(source), float(best)
 
 
-def _object_members(events: Iterable[Event]) -> dict[str, list[int]]:
-    members: dict[str, list[int]] = {}
-    for index, event in enumerate(events):
-        for object_id in sorted(event.object_refs):
-            members.setdefault(object_id, []).append(index)
-    return members
+def _related_events(log: ObjectCentricLog) -> Callable[[int], np.ndarray]:
+    """For an event index, the indices of the events sharing an object with it, itself included.
+
+    Reads the transpose of the log's event-to-object CSR: the events of each
+    object, ascending. The result is sorted and free of duplicates.
+    """
+    owners = np.repeat(np.arange(len(log.ids)), np.diff(log.ref_indptr))
+    events = owners[np.argsort(log.ref_objects, kind="stable")]
+    starts = np.zeros(len(log.objects) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(log.ref_objects, minlength=len(log.objects)), out=starts[1:])
+
+    def related(index: int) -> np.ndarray:
+        objects = log.ref_objects[log.ref_indptr[index] : log.ref_indptr[index + 1]].tolist()
+        return _sorted_unique(np.concatenate([events[starts[j] : starts[j + 1]] for j in objects]))
+
+    return related
 
 
-def _related_indices(
-    members: dict[str, list[int]], event: Event, exclude: int | None
-) -> list[int]:
-    """Indices of events sharing at least one object with ``event``, sorted."""
-    related: set[int] = set()
-    for object_id in event.object_refs:
-        related.update(members.get(object_id, ()))
-    if exclude is not None:
-        related.discard(exclude)
-    return sorted(related)
+def _draw_shift(times: np.ndarray, old: int, rng: np.random.Generator) -> int | None:
+    """A new timestamp within the related events' time frame widened by 5% on each side.
 
-
-def _shift_window(events: list[Event], members: dict[str, list[int]], index: int) -> tuple[float, float]:
-    related = _related_indices(members, events[index], exclude=index)
-    if not related:
-        raise DegenerateSpanError("target shares no object with any other event")
-    times = [events[i].timestamp for i in related]
-    t_min, t_max = min(times), max(times)
+    None when the related events span no time, or when every draw repeats ``old``.
+    """
+    if times.size == 0 or times.min() == times.max():
+        return None
+    t_min, t_max = int(times.min()), int(times.max())
     span = t_max - t_min
-    if span <= 0:
-        raise DegenerateSpanError("related events span no time")
-    return t_min - _SPAN_MARGIN * span, t_max + _SPAN_MARGIN * span
-
-
-def _draw_shift(
-    events: list[Event],
-    members: dict[str, list[int]],
-    index: int,
-    rng: np.random.Generator,
-) -> int:
-    low, high = _shift_window(events, members, index)
-    old = events[index].timestamp
+    low, high = t_min - _SPAN_MARGIN * span, t_max + _SPAN_MARGIN * span
     for _ in range(_MAX_REDRAWS):
         drawn = int(round(rng.uniform(low, high)))
         if drawn != old:
             return drawn
-    raise DegenerateSpanError("could not draw a timestamp different from the original")
+    return None
 
 
-def _fresh_activity(original_activities: frozenset[str] | set[str]) -> str:
-    """Smallest-index "anomalous_act_m" label outside the original activity set."""
-    counter = 1
-    while f"anomalous_act_{counter}" in original_activities:
-        counter += 1
-    return f"anomalous_act_{counter}"
-
-
-def _fresh_event_id(taken: set[str], counter: int) -> tuple[str, int]:
-    while f"injected_{counter}" in taken:
-        counter += 1
-    return f"injected_{counter}", counter + 1
-
-
-def _make_random_activity_event(
-    events: list[Event],
-    members: dict[str, list[int]],
-    anchor: int,
-    rng: np.random.Generator,
-    activity: str,
-    event_id: str,
-) -> Event:
-    # Pool includes the anchor itself, so it is never empty.
-    pool = _related_indices(members, events[anchor], exclude=None)
-    times = [events[i].timestamp for i in pool]
-    t_min, t_max = min(times), max(times)
-    timestamp = int(round(rng.uniform(t_min, t_max))) if t_max > t_min else t_min
-    attr_source = pool[int(rng.integers(0, len(pool)))]
-    return Event(
-        event_id=event_id,
-        activity=activity,
-        timestamp=timestamp,
-        object_refs=events[anchor].object_refs,
-        attributes=dict(events[attr_source].attributes),
-    )
+def _fresh(prefix: str, taken: Collection[str]) -> Iterator[str]:
+    """``prefix`` + "1", "2", ... in turn, skipping the labels in ``taken``."""
+    return (f"{prefix}{m}" for m in count(1) if f"{prefix}{m}" not in taken)
 
 
 def inject_all(
@@ -278,51 +228,40 @@ def inject_all(
     Target sets are disjoint (no original event receives two anomalies) and
     the whole operation is deterministic in the plan seed. Swap distances are
     measured on the clean input log, so earlier injections never distort
-    later choices.
+    later choices. The contaminated log is gathered from the input's columns:
+    event i takes its attributes from row ``attribute_rows[i]``, and the new
+    events take their objects from their anchors.
     """
     rng = make_rng(plan.seed)
-    n_original = len(log.events)
-    events = list(log.events)
-    truth = {event.event_id: "normal" for event in events}
-    used: set[int] = set()
+    n_original = len(log.ids)
+    labels = ["normal"] * n_original
+    attribute_rows = list(range(n_original))
 
     if plan.attr_swap > 0:
-        attr_matrix = _attribute_columns(log)
-        event_ids = log.event_ids()
-        chosen: list[tuple[int, int]] = []
-        for index, source, distance in _farthest_peers(
-            attr_matrix, rng.permutation(n_original), event_ids
-        ):
-            if distance > 0.0:
-                chosen.append((index, source))
-                if len(chosen) == plan.attr_swap:
-                    break
+        peers = _farthest_peers(_attribute_columns(log), rng.permutation(n_original), log.ids)
+        chosen = list(islice(((i, source) for i, source, d in peers if d > 0.0), plan.attr_swap))
         if len(chosen) < plan.attr_swap:
             raise InsufficientCandidatesError(
                 f"only {len(chosen)} attribute-swap candidates for {plan.attr_swap} planned"
             )
         for index, source in chosen:
-            events[index] = replace(
-                events[index], attributes=dict(log.events[source].attributes)
-            )
-            truth[events[index].event_id] = ATTRIBUTE_SWAP
-            used.add(index)
+            attribute_rows[index] = source
+            labels[index] = ATTRIBUTE_SWAP
 
-    members = _object_members(events)
+    related = _related_events(log)
+    timestamps = log.timestamps.copy()
 
     if plan.timestamp_shift > 0:
         shifted = 0
-        for index in rng.permutation(n_original):
-            index = int(index)
-            if index in used:
+        for index in rng.permutation(n_original).tolist():
+            if labels[index] != "normal":
                 continue
-            try:
-                drawn = _draw_shift(events, members, index, rng)
-            except DegenerateSpanError:
+            window = related(index)
+            drawn = _draw_shift(timestamps[window[window != index]], int(timestamps[index]), rng)
+            if drawn is None:
                 continue
-            events[index] = replace(events[index], timestamp=drawn)
-            truth[events[index].event_id] = TIMESTAMP_SHIFT
-            used.add(index)
+            timestamps[index] = drawn
+            labels[index] = TIMESTAMP_SHIFT
             shifted += 1
             if shifted == plan.timestamp_shift:
                 break
@@ -331,20 +270,32 @@ def inject_all(
                 f"only {shifted} timestamp-shift candidates for {plan.timestamp_shift} planned"
             )
 
-    if plan.random_activity > 0:
-        activity = _fresh_activity(log.activities)
-        taken_ids = {event.event_id for event in events}
-        id_counter = 1
-        for _ in range(plan.random_activity):
-            anchor = int(rng.integers(0, n_original))
-            event_id, id_counter = _fresh_event_id(taken_ids, id_counter)
-            new_event = _make_random_activity_event(
-                events, members, anchor, rng, activity, event_id
-            )
-            events.append(new_event)
-            taken_ids.add(event_id)
-            truth[event_id] = RANDOM_ACTIVITY
+    # Each new event takes the objects of a random anchor event, a time within
+    # the anchor's related events, and the attributes of one of them.
+    anchors: list[int] = []
+    new_stamps: list[int] = []
+    for _ in range(plan.random_activity):
+        anchor = int(rng.integers(0, n_original))
+        pool = related(anchor)
+        t_min, t_max = int(timestamps[pool].min()), int(timestamps[pool].max())
+        new_stamps.append(int(round(rng.uniform(t_min, t_max))) if t_max > t_min else t_min)
+        attribute_rows.append(attribute_rows[pool[int(rng.integers(0, len(pool)))]])
+        anchors.append(anchor)
+    ids = [*log.ids, *islice(_fresh("injected_", set(log.ids)), plan.random_activity)]
+    labels += [RANDOM_ACTIVITY] * plan.random_activity
 
-    contaminated = assemble_log(events, log.objects)
-    ordered = {event.event_id: truth[event.event_id] for event in contaminated.events}
-    return contaminated, GroundTruth(labels=ordered)
+    activities = np.array(log.activity_vocabulary, dtype=object)[log.activity_codes].tolist()
+    activities += [next(_fresh("anomalous_act_", log.activities))] * plan.random_activity
+    bounds = log.ref_indptr
+    new_refs = [log.ref_objects[bounds[a] : bounds[a + 1]] for a in anchors]
+    refs = np.concatenate([log.ref_objects, *new_refs])
+    contaminated = _build_log(
+        ids,
+        activities,
+        np.concatenate([timestamps, np.array(new_stamps, dtype=timestamps.dtype)]),
+        np.array([o.object_id for o in log.objects], dtype=object)[refs],
+        np.diff(bounds)[list(range(n_original)) + anchors],
+        {name: log.values(name)[attribute_rows].tolist() for name in log.schema},
+        log.objects,
+    )
+    return contaminated, GroundTruth(labels=dict(zip(ids, labels)))

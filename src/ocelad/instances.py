@@ -3,8 +3,9 @@
 Each object induces a trace: the events that reference it, ordered by
 (timestamp, event id). Consecutive trace events yield directed edges, merged
 across traces into one sorted (m, 2) array, and the connected components of
-its undirected view are the object-centric process instances. Events are
-addressed by their index in the log's event list throughout.
+its undirected view are the object-centric process instances. The edges come
+straight from the log's columns (timestamps, event ids and the event-to-object
+CSR), and events are addressed by their index in log order throughout.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ class ProcessInstanceSet:
     instances: tuple[ProcessInstance, ...]
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D integer array: sort, then keep the first key of each run."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 def _component_roots(n: int, edges: np.ndarray) -> np.ndarray:
     """Each event's smallest connected event index, the edges taken undirected.
 
@@ -64,27 +73,18 @@ def build_instances(log: ObjectCentricLog) -> ProcessInstanceSet:
     Timestamp ties are broken by lexicographic event id, so every trace is
     totally ordered. Events touching no edge form singleton instances.
     """
-    events = log.events
-    n = len(events)
-    ids = np.array([event.event_id for event in events], dtype=object)
-    stamps = np.array([event.timestamp for event in events], dtype=np.int64)
+    n = len(log.ids)
     rank = np.empty(n, dtype=np.int64)
-    rank[np.lexsort((ids, stamps))] = np.arange(n)
+    rank[np.lexsort((np.array(log.ids, dtype=object), log.timestamps))] = np.arange(n)
 
-    object_index = {entry.object_id: i for i, entry in enumerate(log.objects)}
-    members = np.repeat(np.arange(n), [len(event.object_refs) for event in events])
-    objects = np.fromiter(
-        (object_index[ref] for event in events for ref in event.object_refs),
-        dtype=np.int64,
-        count=members.size,
-    )
     # Sorted by (object, rank), the memberships list each trace in turn, so
     # adjacent entries of one object are its consecutive trace events. Flat
     # keys u * n + v sort the pairs by (u, v) and merge duplicates in one pass.
-    order = np.lexsort((rank[members], objects))
-    objects, members = objects[order], members[order]
+    members = np.repeat(np.arange(n), np.diff(log.ref_indptr))
+    order = np.lexsort((rank[members], log.ref_objects))
+    objects, members = log.ref_objects[order], members[order]
     same = objects[1:] == objects[:-1]
-    keys = np.unique(members[:-1][same] * n + members[1:][same])
+    keys = _sorted_unique(members[:-1][same] * n + members[1:][same])
     edges = np.stack(np.divmod(keys, n), axis=1)
 
     roots = _component_roots(n, edges)

@@ -1,11 +1,16 @@
 """Object-centric event log model plus a strict OCEL JSON reader/writer.
 
-The in-memory model is a validated, immutable snapshot of an object-centric
-event log: events carry an activity, a millisecond UTC timestamp, a non-empty
-set of object references and a map of typed attribute values. The reader
-accepts the OCEL 1.0 JSON interchange format (``ocel:global-log``,
-``ocel:events``, ``ocel:objects``) and either returns a valid log or raises a
-typed error; it never hands back a partially constructed log.
+The in-memory model is a validated, immutable, columnar snapshot of an
+object-centric event log. Each event field is stored once, as one column in
+log order: the event ids, activity codes over a sorted vocabulary, int64
+millisecond UTC timestamps, an event-to-object CSR (each event's objects
+ordered by object id), and one array per attribute (float64 with NaN for a
+missing numeric value, int64 codes into a sorted vocabulary with -1 for a
+missing categorical value). ``log.events`` rebuilds ``Event`` objects from
+the columns on demand. The reader accepts the OCEL 1.0 JSON interchange
+format (``ocel:global-log``, ``ocel:events``, ``ocel:objects``), fills the
+columns in one pass over the events, and either returns a valid log or
+raises a typed error; it never hands back a partially constructed log.
 """
 
 from __future__ import annotations
@@ -15,12 +20,14 @@ import io
 import json
 import logging
 import math
+import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import chain, repeat
 from json.encoder import encode_basestring, encode_basestring_ascii
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -30,6 +37,7 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 # First and last millisecond that ``datetime`` can represent.
 _MIN_MILLIS = -62_135_596_800_000
 _MAX_MILLIS = 253_402_300_799_999
+_MAX_FLOAT = sys.float_info.max
 
 # Top-level keys of the OCEL 1.0 JSON format. Keys outside this set are
 # ignored with a warning; "ocel:global-event"/"ocel:global-object" carry
@@ -58,11 +66,12 @@ class MissingFieldError(OcelError):
 
 
 class InvalidTimestampError(OcelError):
-    """A timestamp value cannot be read as ISO-8601."""
+    """A timestamp value is not ISO-8601 or lies outside the years 1 to 9999."""
 
 
 class DuplicateIdError(OcelError):
-    """Two events, two objects or two keys of one JSON object share an id."""
+    """Two events, two objects or two keys of one JSON object share an id,
+    or one event references an object twice."""
 
 
 class DanglingObjectRefError(OcelError):
@@ -104,28 +113,85 @@ class ObjectEntry:
     object_type: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectCentricLog:
-    """A validated object-centric event log.
+    """A validated object-centric event log, one column per event field.
 
+    Event i has id ``ids[i]``, activity ``activity_vocabulary[activity_codes[i]]``
+    and timestamp ``timestamps[i]`` (int64 milliseconds since the Unix epoch,
+    UTC). Its objects are ``ref_objects[ref_indptr[i]:ref_indptr[i + 1]]``,
+    indices into ``objects`` ordered by object id. ``columns`` holds one
+    array per attribute of ``schema``: float64 with NaN for a missing numeric
+    value, or int64 codes into the sorted ``vocabularies[name]`` with -1 for
+    a missing categorical value. All three mappings are in name order.
     Immutable after construction; safe to share across threads for reading.
     """
 
-    events: tuple[Event, ...]
+    ids: tuple[str, ...]
+    activity_vocabulary: tuple[str, ...]
+    activity_codes: np.ndarray
+    timestamps: np.ndarray
+    ref_indptr: np.ndarray
+    ref_objects: np.ndarray
     objects: tuple[ObjectEntry, ...]
     object_types: frozenset[str]
-    activities: frozenset[str]
     schema: Mapping[str, AttributeKind]
+    columns: Mapping[str, np.ndarray]
+    vocabularies: Mapping[str, tuple[str, ...]]
+
+    @property
+    def activities(self) -> frozenset[str]:
+        return frozenset(self.activity_vocabulary)
 
     def event_ids(self) -> tuple[str, ...]:
-        return tuple(e.event_id for e in self.events)
+        return self.ids
+
+    def values(self, name: str) -> np.ndarray:
+        """Attribute ``name`` of every event as an object array: float or str, None if missing."""
+        column = self.columns[name]
+        if name in self.vocabularies:
+            return np.array([*self.vocabularies[name], None], dtype=object)[column]
+        return np.where(np.isnan(column), None, column.astype(object))
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        """The events as ``Event`` objects, rebuilt from the columns on every access."""
+        attributes: list[dict[str, float | str]] = [{} for _ in self.ids]
+        for name in self.schema:
+            for row, value in zip(attributes, self.values(name).tolist()):
+                if value is not None:
+                    row[name] = value
+        object_ids = np.array([o.object_id for o in self.objects], dtype=object)
+        refs, bounds = object_ids[self.ref_objects].tolist(), self.ref_indptr.tolist()
+        codes, stamps = self.activity_codes.tolist(), self.timestamps.tolist()
+        return tuple(
+            Event(event_id, self.activity_vocabulary[code], stamp, frozenset(refs[a:b]), row)
+            for event_id, code, stamp, a, b, row in zip(
+                self.ids, codes, stamps, bounds, bounds[1:], attributes
+            )
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ObjectCentricLog):
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def _same(a: object, b: object) -> bool:
+    """Equality that compares arrays by value, a NaN equal to a NaN."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
 
 
 def parse_timestamp(text: str) -> int:
     """Parse an ISO-8601 timestamp into milliseconds since the epoch (UTC).
 
     Values without a timezone are taken as UTC; a trailing ``Z`` is accepted.
-    Sub-millisecond precision is truncated.
+    Sub-millisecond precision is truncated. A time outside the years 1 to
+    9999 in UTC, which the writer could not write, is an error.
     """
     normalized = text.strip()
     if normalized.endswith(("Z", "z")):
@@ -137,127 +203,157 @@ def parse_timestamp(text: str) -> int:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     delta = dt - _EPOCH
-    return delta.days * 86_400_000 + delta.seconds * 1000 + delta.microseconds // 1000
+    millis = delta.days * 86_400_000 + delta.seconds * 1000 + delta.microseconds // 1000
+    if not _MIN_MILLIS <= millis <= _MAX_MILLIS:
+        raise InvalidTimestampError(f"timestamp outside the years 1 to 9999 in UTC: {text!r}")
+    return millis
 
 
-def format_timestamps(millis: Sequence[int]) -> list[str]:
+def format_timestamps(millis: Sequence[int] | np.ndarray) -> list[str]:
     """Render milliseconds since the epoch as ISO-8601 UTC with millisecond precision.
 
     Covers the years 1 to 9999, the range of ``datetime``; a value outside it
     raises ``OverflowError``.
     """
-    if millis and not (_MIN_MILLIS <= min(millis) and max(millis) <= _MAX_MILLIS):
+    millis = np.asarray(millis)
+    if millis.size and not (_MIN_MILLIS <= millis.min() and millis.max() <= _MAX_MILLIS):
         raise OverflowError("timestamp outside the years 1 to 9999")
-    stamps = np.array(millis, dtype=np.int64).astype("datetime64[ms]")
+    stamps = millis.astype(np.int64).astype("datetime64[ms]")
     return [f"{text}+00:00" for text in np.datetime_as_string(stamps, unit="ms").tolist()]
 
 
-def _coerce_attribute_value(event_id: str, name: str, raw: object) -> float | str | None:
-    """Map a JSON attribute value onto the model's value space.
+def _codes(values: Sequence[str | None], vocabulary: Sequence[str]) -> np.ndarray:
+    """Each value's index in ``vocabulary``, -1 for None."""
+    code = {None: -1, **{value: i for i, value in enumerate(vocabulary)}}
+    return np.fromiter(map(code.__getitem__, values), dtype=np.int64, count=len(values))
 
-    Numbers become floats, strings stay strings, booleans become the
-    categorical strings "true"/"false", nulls mean "attribute absent".
+
+def _attribute_column(
+    ids: tuple[str, ...], name: str, values: list[object]
+) -> tuple[np.ndarray, tuple[str, ...] | None] | None:
+    """Column and vocabulary (None if numeric) of one attribute; None if no event has a value.
+
+    An attribute is numeric iff every value is a number, categorical iff every
+    value is a string; a mix of the two is an error, and so is a number that
+    is not finite or a value of any other type (the writer could not
+    round-trip it). Integers become floats.
     """
-    if raw is None:
+    types = set(map(type, values)) - {type(None)}
+    if not types:
         return None
-    if isinstance(raw, bool):
-        return "true" if raw else "false"
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    if isinstance(raw, str):
-        return raw
-    raise UnsupportedAttributeValueError(
-        f"event {event_id!r}: attribute {name!r} has unsupported type {type(raw).__name__}"
-    )
+    if all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in types):
+        try:
+            column = np.array(values, dtype=np.float64)
+        except OverflowError:
+            column = None
+        if column is not None and np.count_nonzero(~np.isfinite(column)) == values.count(None):
+            return column, None
+    elif all(issubclass(t, str) for t in types):
+        vocabulary = tuple(sorted(set(values) - {None}))
+        return _codes(values, vocabulary), vocabulary
+    _raise_first_fault(ids, name, values)
 
 
-def _infer_schema(
-    events: tuple[Event, ...], declared_names: list[str]
-) -> dict[str, AttributeKind]:
-    """Derive attribute kinds from observed values.
-
-    An attribute is numeric iff every occurrence is a number; an attribute
-    with only text occurrences is categorical; a mix of the two is an error,
-    and so is a number that is not finite or a value that is neither a float
-    nor a string (the writer could not round-trip it). Declared but
-    never-observed attributes default to categorical.
-    """
-    kinds: dict[str, AttributeKind] = {}
-    for event in events:
-        for name, value in event.attributes.items():
-            if isinstance(value, float) and math.isfinite(value):
-                kind = AttributeKind.NUMERIC
-            elif isinstance(value, str):
-                kind = AttributeKind.CATEGORICAL
-            else:
-                raise UnsupportedAttributeValueError(
-                    f"event {event.event_id!r}: attribute {name!r} is {value!r}, "
-                    "not a finite float or a string"
-                )
-            previous = kinds.get(name)
-            if previous is None:
-                kinds[name] = kind
-            elif previous is not kind:
-                raise InconsistentAttributeKindError(
-                    f"attribute {name!r} is {previous.value} in one event and "
-                    f"{kind.value} in another (event {event.event_id!r})"
-                )
-    for name in declared_names:
-        kinds.setdefault(name, AttributeKind.CATEGORICAL)
-    return {name: kinds[name] for name in sorted(kinds)}
+def _raise_first_fault(ids: tuple[str, ...], name: str, values: list[object]) -> NoReturn:
+    """Raise for the first value, in event order, that is invalid or of the other kind."""
+    first = None
+    for row, value in enumerate(values):
+        if value is None:
+            continue
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        kind = AttributeKind.NUMERIC if numeric else AttributeKind.CATEGORICAL
+        if not (numeric and abs(value) <= _MAX_FLOAT or isinstance(value, str)):
+            raise UnsupportedAttributeValueError(
+                f"event {ids[row]!r}: attribute {name!r} is {value!r}, "
+                "not a finite float or a string"
+            )
+        first = first or kind
+        if kind is not first:
+            raise InconsistentAttributeKindError(
+                f"attribute {name!r} is {first.value} in one event and "
+                f"{kind.value} in another (event {ids[row]!r})"
+            )
 
 
-def _coerce_event_values(event: Event) -> Event:
-    """Normalize integer attribute values to floats (the model's value space)."""
-    if not any(
-        isinstance(v, int) and not isinstance(v, bool) for v in event.attributes.values()
-    ):
-        return event
-    coerced = {
-        name: float(value)
-        if isinstance(value, int) and not isinstance(value, bool)
-        else value
-        for name, value in event.attributes.items()
-    }
-    return Event(
-        event_id=event.event_id,
-        activity=event.activity,
-        timestamp=event.timestamp,
-        object_refs=event.object_refs,
-        attributes=coerced,
-    )
-
-
-def _checked_log(
-    events: tuple[Event, ...],
-    objects: tuple[ObjectEntry, ...],
-    declared_types: list[str],
-    declared_attrs: list[str],
+def _build_log(
+    ids: Sequence[str],
+    activities: Sequence[str],
+    timestamps: Sequence[int] | np.ndarray,
+    refs: Sequence[str],
+    ref_counts: Sequence[int] | np.ndarray,
+    attributes: Mapping[str, list[object]],
+    objects: Sequence[ObjectEntry],
+    declared_types: Iterable[str] = (),
+    declared_attrs: Iterable[str] = (),
 ) -> ObjectCentricLog:
-    """The one place a log is built: checks every invariant, derives the rest."""
-    known_objects = {o.object_id for o in objects}
-    if len(known_objects) != len(objects):
+    """The one place a log is built: checks every invariant and encodes the columns.
+
+    ``refs`` lists the object ids of every event in turn, ``ref_counts[i]``
+    of them for event i. ``attributes`` holds one value per event for each
+    name, None where the event has none. Declared but never-observed
+    attributes are categorical, with every value missing. The first fault in
+    event order decides the error; attribute faults are sought one attribute
+    at a time, in name order.
+    """
+    ids, objects = tuple(ids), tuple(objects)
+    n = len(ids)
+    object_index = {o.object_id: i for i, o in enumerate(objects)}
+    if len(object_index) != len(objects):
         duplicate = _first_duplicate(o.object_id for o in objects)
         raise DuplicateIdError(f"object {duplicate!r} declared twice")
-    if len({e.event_id for e in events}) != len(events):
-        duplicate = _first_duplicate(e.event_id for e in events)
-        raise DuplicateIdError(f"event {duplicate!r} appears twice")
-    for event in events:
-        if not event.object_refs:
-            # An event tied to no object cannot be placed in any trace.
-            raise MissingFieldError(f"event {event.event_id!r}: empty object references")
-        missing = event.object_refs - known_objects
-        if missing:
-            raise DanglingObjectRefError(
-                f"event {event.event_id!r} references undeclared object(s) "
-                f"{sorted(missing)}"
-            )
+    if len(set(ids)) != n:
+        raise DuplicateIdError(f"event {_first_duplicate(ids)!r} appears twice")
+
+    counts = np.asarray(ref_counts, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.fromiter(map(object_index.get, refs, repeat(-1)), dtype=np.int64, count=len(refs))
+    owner = np.repeat(np.arange(n), counts)
+    faults = np.flatnonzero((counts == 0) | (np.bincount(owner[indices < 0], minlength=n) > 0))
+    if faults.size:
+        event = faults[0]
+        missing = sorted(set(refs[indptr[event] : indptr[event + 1]]) - object_index.keys())
+        if not missing:  # an event tied to no object cannot be placed in any trace
+            raise MissingFieldError(f"event {ids[event]!r}: empty object references")
+        raise DanglingObjectRefError(
+            f"event {ids[event]!r} references undeclared object(s) {missing}"
+        )
+    rank = np.empty(len(objects), dtype=np.int64)
+    rank[[object_index[o] for o in sorted(object_index)]] = np.arange(len(objects))
+    indices = indices[np.lexsort((rank[indices], owner))]
+    repeated = np.flatnonzero((owner[1:] == owner[:-1]) & (indices[1:] == indices[:-1]))
+    if repeated.size:
+        event, obj = owner[repeated[0]], objects[indices[repeated[0]]].object_id
+        raise DuplicateIdError(f"event {ids[event]!r} references object {obj!r} twice")
+
+    try:
+        stamps = np.array(timestamps, dtype=np.int64)
+    except OverflowError:  # beyond int64: kept, so that the writer reports it
+        stamps = np.array(timestamps, dtype=object)
+    columns, vocabularies = {}, {}
+    declared = set(declared_attrs)
+    for name in sorted(declared.union(attributes)):
+        encoded = _attribute_column(ids, name, attributes.get(name, []))
+        if encoded is not None or name in declared:
+            columns[name], vocabulary = encoded or (np.full(n, -1, dtype=np.int64), ())
+            if vocabulary is not None:
+                vocabularies[name] = vocabulary
+    activity_vocabulary = tuple(sorted(set(activities)))
     return ObjectCentricLog(
-        events=events,
+        ids=ids,
+        activity_vocabulary=activity_vocabulary,
+        activity_codes=_codes(activities, activity_vocabulary),
+        timestamps=stamps,
+        ref_indptr=indptr,
+        ref_objects=indices,
         objects=objects,
         object_types=frozenset(declared_types) | frozenset(o.object_type for o in objects),
-        activities=frozenset(e.activity for e in events),
-        schema=_infer_schema(events, declared_attrs),
+        schema={
+            name: AttributeKind.CATEGORICAL if name in vocabularies else AttributeKind.NUMERIC
+            for name in columns
+        },
+        columns=columns,
+        vocabularies=vocabularies,
     )
 
 
@@ -282,16 +378,28 @@ def assemble_log(
 
     Raises the same typed errors as the parser when the parts are inconsistent.
     """
-    events = tuple(_coerce_event_values(e) for e in events)
-    return _checked_log(events, tuple(objects), [], [])
+    unset = [e.event_id for e in events if None in e.attributes.values()]
+    if unset:
+        raise UnsupportedAttributeValueError(f"event {unset[0]!r}: an attribute value is None")
+    names = set().union(*(e.attributes for e in events))
+    return _build_log(
+        [e.event_id for e in events],
+        [e.activity for e in events],
+        [e.timestamp for e in events],
+        [ref for e in events for ref in e.object_refs],
+        [len(e.object_refs) for e in events],
+        {name: [e.attributes.get(name) for e in events] for name in names},
+        objects,
+    )
 
 
 def parse_ocel_json(data: bytes | str) -> ObjectCentricLog:
     """Parse an OCEL 1.0 JSON document into a validated log.
 
     Events retain file order. The attribute schema is inferred from the
-    global attribute declarations and the observed values. Every failure is
-    one of the typed ``OcelError`` subclasses.
+    global attribute declarations and the observed values; a JSON null means
+    the attribute is absent, and true/false are the categorical values
+    "true"/"false". Every failure is one of the typed ``OcelError`` subclasses.
     """
     if isinstance(data, bytes):
         try:
@@ -308,7 +416,7 @@ def parse_ocel_json(data: bytes | str) -> ObjectCentricLog:
         doc = json.loads(
             text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys
         )
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
         raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedDocumentError("top level must be a JSON object")
@@ -320,16 +428,12 @@ def parse_ocel_json(data: bytes | str) -> ObjectCentricLog:
     global_log = doc.get("ocel:global-log", {})
     if not isinstance(global_log, dict):
         raise MalformedDocumentError("'ocel:global-log' must be an object")
-    declared_types = global_log.get("ocel:object-types", [])
-    declared_attrs = global_log.get("ocel:attribute-names", [])
-    if not isinstance(declared_types, list) or not all(
-        isinstance(t, str) for t in declared_types
-    ):
-        raise MalformedDocumentError("'ocel:object-types' must be a list of strings")
-    if not isinstance(declared_attrs, list) or not all(
-        isinstance(a, str) for a in declared_attrs
-    ):
-        raise MalformedDocumentError("'ocel:attribute-names' must be a list of strings")
+    keys = ("ocel:object-types", "ocel:attribute-names")
+    declared = {key: global_log.get(key, []) for key in keys}
+    for key, names in declared.items():
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise MalformedDocumentError(f"{key!r} must be a list of strings")
+    declared_types, declared_attrs = declared.values()
 
     objects_raw = doc.get("ocel:objects", {})
     if not isinstance(objects_raw, dict):
@@ -350,7 +454,7 @@ def parse_ocel_json(data: bytes | str) -> ObjectCentricLog:
     events_raw = doc.get("ocel:events", {})
     if not isinstance(events_raw, dict):
         raise MalformedDocumentError("'ocel:events' must be an object")
-    events: list[Event] = []
+    activities, timestamps, omaps, vmaps = [], [], [], []
     for event_id, body in events_raw.items():
         if not isinstance(body, dict):
             raise MalformedDocumentError(f"event {event_id!r} must be an object")
@@ -360,44 +464,77 @@ def parse_ocel_json(data: bytes | str) -> ObjectCentricLog:
         ts_raw = body.get("ocel:timestamp")
         if not isinstance(ts_raw, str):
             raise MissingFieldError(f"event {event_id!r}: missing ocel:timestamp")
-        timestamp = parse_timestamp(ts_raw)
+        timestamps.append(parse_timestamp(ts_raw))
         omap = body.get("ocel:omap")
         if not isinstance(omap, list):
             raise MissingFieldError(f"event {event_id!r}: missing ocel:omap")
-        refs = frozenset(str(ref) for ref in omap)
         vmap = body.get("ocel:vmap", {})
         if not isinstance(vmap, dict):
             raise MalformedDocumentError(f"event {event_id!r}: ocel:vmap must be an object")
-        attributes: dict[str, float | str] = {}
-        for name, raw in vmap.items():
-            if name not in declared_attrs:
-                logger.warning("event %r uses undeclared attribute %r", event_id, name)
-            value = _coerce_attribute_value(event_id, name, raw)
-            if value is not None:
-                attributes[name] = value
-        events.append(
-            Event(
-                event_id=event_id,
-                activity=activity,
-                timestamp=timestamp,
-                object_refs=refs,
-                attributes=attributes,
-            )
-        )
+        activities.append(activity)
+        omaps.append(omap)
+        vmaps.append(vmap)
 
-    return _checked_log(tuple(events), tuple(objects), declared_types, declared_attrs)
+    ids = list(events_raw)
+    refs = list(chain.from_iterable(omaps))
+    if set(map(type, refs)) - {str}:
+        event = next(i for i, omap in enumerate(omaps) if set(map(type, omap)) - {str})
+        raise MalformedDocumentError(f"event {ids[event]!r}: ocel:omap entries must be strings")
+    attributes = {}
+    for name in sorted(set().union(*vmaps)):
+        if name not in declared_attrs:
+            logger.warning("events use undeclared attribute %r", name)
+        values = [vmap.get(name) for vmap in vmaps]
+        if bool in set(map(type, values)):
+            values = [("true" if v else "false") if type(v) is bool else v for v in values]
+        attributes[name] = values
+    return _build_log(
+        ids,
+        activities,
+        timestamps,
+        refs,
+        list(map(len, omaps)),
+        attributes,
+        objects,
+        declared_types,
+        declared_attrs,
+    )
 
 
 def write_ocel_json(log: ObjectCentricLog) -> bytes:
     """Serialize a log as OCEL 1.0 JSON. Deterministic: equal logs → equal bytes.
 
     The text is ``json.dumps(doc, indent=2, ensure_ascii=False)`` of the OCEL
-    document, laid out here directly: the stdlib encoder runs in pure Python
-    whenever ``indent`` is set.
+    document, laid out here directly from the columns: the stdlib encoder
+    runs in pure Python whenever ``indent`` is set.
     """
     quote = encode_basestring
-    stamps = format_timestamps([e.timestamp for e in log.events])
-    events = [_event_json(e, stamp) for e, stamp in zip(log.events, stamps)]
+    object_ids = np.array([quote(o.object_id) for o in log.objects], dtype=object)
+    refs = object_ids[log.ref_objects].tolist()
+    bounds = log.ref_indptr.tolist()
+    activities = [quote(a) for a in log.activity_vocabulary]
+    members = [
+        [None if value is None else f"{quote(name)}: {json_value(value, False, '        ')}"
+         for value in log.values(name).tolist()]
+        for name in log.schema
+    ]
+    rows = zip(*members) if members else repeat(())
+    events = [
+        f"{quote(event_id)}: {{\n"
+        f'      "ocel:activity": {activities[code]},\n'
+        f'      "ocel:timestamp": "{stamp}",\n'
+        f'      "ocel:omap": {json_block(refs[a:b], "      ", "[]")},\n'
+        f'      "ocel:vmap": {json_block([m for m in row if m is not None], "      ", "{}")}\n'
+        "    }"
+        for event_id, code, stamp, a, b, row in zip(
+            log.ids,
+            log.activity_codes.tolist(),
+            format_timestamps(log.timestamps),
+            bounds,
+            bounds[1:],
+            rows,
+        )
+    ]
     objects = [
         f"{quote(o.object_id)}: {{\n"
         f'      "ocel:type": {quote(o.object_type)},\n'
@@ -418,28 +555,6 @@ def write_ocel_json(log: ObjectCentricLog) -> bytes:
         "}"
     )
     return text.encode("utf-8")
-
-
-def _event_json(event: Event, stamp: str) -> str:
-    """One member of "ocel:events", for a line indented by four spaces."""
-    quote = encode_basestring
-    omap = json_block([quote(ref) for ref in sorted(event.object_refs)], "      ", "[]")
-    vmap = json_block(
-        [
-            f"{quote(name)}: {json_value(event.attributes[name], False, '        ')}"
-            for name in sorted(event.attributes)
-        ],
-        "      ",
-        "{}",
-    )
-    return (
-        f"{quote(event.event_id)}: {{\n"
-        f'      "ocel:activity": {quote(event.activity)},\n'
-        f'      "ocel:timestamp": "{stamp}",\n'
-        f'      "ocel:omap": {omap},\n'
-        f'      "ocel:vmap": {vmap}\n'
-        "    }"
-    )
 
 
 def json_block(members: list[str], indent: str, brackets: str) -> str:

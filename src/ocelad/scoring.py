@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -117,12 +117,17 @@ def label_events(scores: Sequence[float] | np.ndarray, threshold: ThresholdResul
     return np.asarray(scores, dtype=np.float64) > threshold.tau
 
 
+def _aligned(values, truth, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` and boolean ``truth`` as arrays of one shape."""
+    values, truth = np.asarray(values, dtype=dtype), np.asarray(truth, dtype=bool)
+    if values.shape != truth.shape:
+        raise LengthMismatchError(f"{values.shape} vs {truth.shape}")
+    return values, truth
+
+
 def f1_score(pred: Sequence[bool] | np.ndarray, truth: Sequence[bool] | np.ndarray) -> float:
     """F1 on the anomalous class; 0 when precision + recall degenerate to 0."""
-    pred = np.asarray(pred, dtype=bool)
-    truth = np.asarray(truth, dtype=bool)
-    if pred.shape != truth.shape:
-        raise LengthMismatchError(f"{pred.shape} vs {truth.shape}")
+    pred, truth = _aligned(pred, truth, dtype=bool)
     tp = int(np.sum(pred & truth))
     fp = int(np.sum(pred & ~truth))
     fn = int(np.sum(~pred & truth))
@@ -150,10 +155,7 @@ def _midranks(scores: np.ndarray) -> np.ndarray:
 
 def auc_roc(scores: Sequence[float] | np.ndarray, truth: Sequence[bool] | np.ndarray) -> float:
     """Area under the ROC curve via the rank-sum formulation with midranks."""
-    scores = np.asarray(scores, dtype=np.float64)
-    truth = np.asarray(truth, dtype=bool)
-    if scores.shape != truth.shape:
-        raise LengthMismatchError(f"{scores.shape} vs {truth.shape}")
+    scores, truth = _aligned(scores, truth)
     n_pos = int(truth.sum())
     n_neg = truth.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -170,10 +172,7 @@ def _descending_order(scores: np.ndarray) -> np.ndarray:
 
 def auc_pr(scores: Sequence[float] | np.ndarray, truth: Sequence[bool] | np.ndarray) -> float:
     """Average precision: sum of precision at each true anomaly in rank order."""
-    scores = np.asarray(scores, dtype=np.float64)
-    truth = np.asarray(truth, dtype=bool)
-    if scores.shape != truth.shape:
-        raise LengthMismatchError(f"{scores.shape} vs {truth.shape}")
+    scores, truth = _aligned(scores, truth)
     n_pos = int(truth.sum())
     if n_pos == 0:
         raise NoPositivesError("average precision needs at least one true anomaly")
@@ -194,10 +193,7 @@ def recall_at_k(
     ``k`` defaults to the number of true anomalies. Score ties are broken by
     ascending event index, so the cut is deterministic.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    truth = np.asarray(truth, dtype=bool)
-    if scores.shape != truth.shape:
-        raise LengthMismatchError(f"{scores.shape} vs {truth.shape}")
+    scores, truth = _aligned(scores, truth)
     n_pos = int(truth.sum())
     if n_pos == 0:
         raise NoPositivesError("recall@k needs at least one true anomaly")
@@ -278,25 +274,8 @@ def format_metrics_table(named_metrics: list[tuple[str, MetricsBlock]]) -> str:
 
 
 def _metrics_to_dict(metrics: MetricsBlock) -> dict:
-    return {
-        "f1": metrics.f1,
-        "auc_roc": metrics.auc_roc,
-        "auc_pr": metrics.auc_pr,
-        "recall_at_k": metrics.recall_at_k,
-        "k": metrics.k,
-        "per_type_recall": dict(sorted(metrics.per_type_recall.items())),
-    }
-
-
-def _metrics_from_dict(doc: dict) -> MetricsBlock:
-    return MetricsBlock(
-        f1=doc["f1"],
-        auc_roc=doc["auc_roc"],
-        auc_pr=doc["auc_pr"],
-        recall_at_k=doc["recall_at_k"],
-        k=doc["k"],
-        per_type_recall=dict(doc["per_type_recall"]),
-    )
+    """The metrics in field order, the per-type recalls sorted by type."""
+    return {**asdict(metrics), "per_type_recall": dict(sorted(metrics.per_type_recall.items()))}
 
 
 def report_to_json(report: DetectionReport) -> str:
@@ -341,21 +320,28 @@ def report_to_json(report: DetectionReport) -> str:
 
 
 def report_from_json(text: str) -> DetectionReport:
-    """Read a report back; a repeated event id or JSON key raises ``DuplicateIdError``."""
+    """Read a report back; a repeated event id or JSON key raises ``DuplicateIdError``.
+
+    A document that is not a report raises ``ValueError``.
+    """
     doc = json.loads(text, object_pairs_hook=_unique_keys)
-    events = doc["events"]
-    event_ids = tuple(entry["event_id"] for entry in events)
+    try:
+        events = doc["events"]
+        event_ids = tuple(entry["event_id"] for entry in events)
+        threshold = ThresholdResult(**doc["threshold"])
+        scores = np.array([entry["score"] for entry in events], dtype=np.float64)
+        labels = np.array([entry["label"] == "anomalous" for entry in events], dtype=bool)
+        with_truth = bool(events) and "truth" in events[0]
+        truth = tuple(entry["truth"] for entry in events) if with_truth else None
+        metrics = MetricsBlock(**doc["metrics"]) if "metrics" in doc else None
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a detection report: {exc!r}") from exc
     if len(set(event_ids)) != len(event_ids):
         raise DuplicateIdError(f"event {_first_duplicate(event_ids)!r} listed twice in report")
-    threshold = ThresholdResult(**doc["threshold"])
-    truth = None
-    if events and "truth" in events[0]:
-        truth = tuple(entry["truth"] for entry in events)
-    metrics = _metrics_from_dict(doc["metrics"]) if "metrics" in doc else None
     return DetectionReport(
         event_ids=event_ids,
-        scores=np.array([entry["score"] for entry in events], dtype=np.float64),
-        labels=np.array([entry["label"] == "anomalous" for entry in events], dtype=bool),
+        scores=scores,
+        labels=labels,
         threshold=threshold,
         truth=truth,
         metrics=metrics,

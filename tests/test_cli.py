@@ -164,6 +164,14 @@ class TestDetect:
         assert run(args) == 2
         assert not (tmp_path / "r.json").exists()
 
+    def test_null_config_setting_is_config_error(self, tmp_path, small_log_path, monkeypatch):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"epochs": None}))
+        monkeypatch.setattr(cli, "train", lambda graph, config: pytest.fail("trained"))
+        args = ["detect", "-i", str(small_log_path), "-o", str(tmp_path / "r.json"),
+                "--config", str(config)]
+        assert run(args) == 2
+
     def test_non_finite_loss_exit_code(self, tmp_path, small_log_path, monkeypatch):
         def explode(graph, config):
             raise NonFiniteLossError(3, float("inf"))
@@ -236,6 +244,25 @@ class TestEvaluate:
         code = run(["evaluate", "--report", str(report_path), "--truth", str(truth_path)])
         assert code == 2
         assert "listed twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document", [{"threshold": {}}, [{"events": []}]], ids=["no-events", "list"]
+    )
+    def test_malformed_report_exit_code(self, tmp_path, capsys, document):
+        report_path, truth_path = write_perfect_run(tmp_path)
+        report_path.write_text(json.dumps(document))
+        code = run(["evaluate", "--report", str(report_path), "--truth", str(truth_path)])
+        assert code == 2
+        assert "not a detection report" in capsys.readouterr().err
+
+    def test_truth_without_anomaly_exit_code(self, tmp_path, capsys):
+        # AUC-ROC is undefined without an anomalous event.
+        report_path, truth_path = write_perfect_run(tmp_path)
+        labels = {f"e{i}": "normal" for i in range(1, 11)}
+        truth_path.write_text(GroundTruth(labels=labels).to_csv())
+        code = run(["evaluate", "--report", str(report_path), "--truth", str(truth_path)])
+        assert code == 5
+        assert "both classes" in capsys.readouterr().err
 
     def test_id_mismatch_exit_code(self, tmp_path):
         report_path, truth_path = write_perfect_run(tmp_path)

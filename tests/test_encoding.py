@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ocelad.encoding import (
+    FeatureGroup,
+    FeatureLayout,
     GroupKind,
     IndexOutOfRangeError,
     UnknownCategoricalValueError,
@@ -18,7 +20,7 @@ from ocelad.encoding import (
 from ocelad.generator import GenConfig, generate
 from ocelad.instances import ProcessInstance, ProcessInstanceSet, build_instances
 from ocelad.numerics import make_rng
-from ocelad.ocel import Event, ObjectEntry, assemble_log
+from ocelad.ocel import AttributeKind, Event, ObjectEntry, assemble_log
 
 from conftest import make_log, random_log
 
@@ -98,6 +100,24 @@ def reference_encode_features(log, layout, scale_numeric=True):
     return matrix
 
 
+def reference_build_layout(log):
+    """Layout from per-event scans of the attribute maps, with Python min and max."""
+    activities = tuple(sorted(log.activities))
+    groups = [FeatureGroup("activity", GroupKind.ACTIVITY, 0, len(activities), activities)]
+    column = len(activities)
+    events = log.events
+    for name in sorted(n for n, kind in log.schema.items() if kind is AttributeKind.CATEGORICAL):
+        values = tuple(sorted({e.attributes[name] for e in events if name in e.attributes}))
+        groups.append(FeatureGroup(name, GroupKind.CATEGORICAL, column, column + len(values) + 1, values))
+        column += len(values) + 1
+    for name in sorted(n for n, kind in log.schema.items() if kind is AttributeKind.NUMERIC):
+        observed = [e.attributes[name] for e in events if name in e.attributes]
+        low, high = (min(observed), max(observed)) if observed else (0.0, 0.0)
+        groups.append(FeatureGroup(name, GroupKind.NUMERIC, column, column + 1, (), low, high))
+        column += 1
+    return FeatureLayout(groups=tuple(groups), n_columns=column)
+
+
 # Extremes whose difference overflows (a NaN after scaling), signed zeros and
 # subnormals, next to ordinary values.
 feature_floats = st.one_of(
@@ -127,7 +147,8 @@ def feature_cases(draw):
             if draw(st.booleans()):
                 attributes[name] = draw(feature_floats)
         activity = draw(st.sampled_from(["a", "b", "c"]))
-        events.append(Event(f"e{i}", activity, i, frozenset({"o1"}), attributes))
+        event_id = f"e{i}" + draw(st.sampled_from(["", "\x00"]))
+        events.append(Event(event_id, activity, i, frozenset({"o1"}), attributes))
     log = assemble_log(events, [ObjectEntry("o1", "T")])
     if draw(st.booleans()):
         return log, log
@@ -246,6 +267,15 @@ class TestNormalization:
 
 
 class TestLayout:
+    @settings(deadline=None)
+    @given(feature_cases())
+    @example((numeric_log([0.0, -0.0, 1.0, -0.0]),) * 2)
+    @example((numeric_log([-0.0, 0.0, -1.0, 0.0]),) * 2)
+    def test_matches_per_event_scan(self, case):
+        # repr tells -0.0 from 0.0: the bounds must be the very floats min() and max() pick.
+        for log in case:
+            assert repr(build_layout(log)) == repr(reference_build_layout(log))
+
     def test_golden_k(self, golden_log):
         layout = build_layout(golden_log)
         assert layout.n_columns == 7
@@ -321,6 +351,12 @@ class TestFeatures:
         log2 = make_log([("e1", "a", 0, ["o1"], {"c": "new"})], {"o1": "T"})
         with pytest.raises(UnknownCategoricalValueError):
             encode_features(log2, layout)
+
+    def test_attribute_kind_differs_from_layout(self):
+        layout = build_layout(make_log([("e1", "a", 0, ["o1"], {"c": 1.0})], {"o1": "T"}))
+        log = make_log([("e1", "a", 0, ["o1"], {"c": "x"})], {"o1": "T"})
+        with pytest.raises(UnknownCategoricalValueError):
+            encode_features(log, layout)
 
     def test_unknown_activity(self):
         log1 = make_log([("e1", "a", 0, ["o1"], {})], {"o1": "T"})

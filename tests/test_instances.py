@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ocelad.generator import GenConfig, generate
-from ocelad.instances import build_instances
+from ocelad.instances import _component_roots, _sorted_unique, build_instances
 from ocelad.numerics import make_rng
 
 from conftest import bfs_components, make_log, oracle_edges, oracle_traces, random_log
@@ -34,6 +34,31 @@ def object_edges(log, object_id):
     """Event-id edges whose two events both reference ``object_id``."""
     refs = [object_id in event.object_refs for event in log.events]
     return id_edges(log, [(u, v) for u, v in build_instances(log).edges if refs[u] and refs[v]])
+
+
+def reference_build_instances(log):
+    """Edges and node sets from arrays gathered one event at a time, deduplicated by np.unique."""
+    events = log.events
+    n = len(events)
+    ids = np.array([event.event_id for event in events], dtype=object)
+    stamps = np.array([event.timestamp for event in events], dtype=np.int64)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((ids, stamps))] = np.arange(n)
+    object_index = {entry.object_id: i for i, entry in enumerate(log.objects)}
+    members = np.repeat(np.arange(n), [len(event.object_refs) for event in events])
+    objects = np.fromiter(
+        (object_index[ref] for event in events for ref in event.object_refs),
+        dtype=np.int64,
+        count=members.size,
+    )
+    order = np.lexsort((rank[members], objects))
+    objects, members = objects[order], members[order]
+    same = objects[1:] == objects[:-1]
+    keys = np.unique(members[:-1][same] * n + members[1:][same])
+    edges = np.stack(np.divmod(keys, n), axis=1)
+    roots = _component_roots(n, edges)
+    nodes = [frozenset(np.flatnonzero(roots == root).tolist()) for root in np.unique(roots)]
+    return edges, nodes
 
 
 @st.composite
@@ -136,6 +161,16 @@ class TestInstances:
         expected = bfs_components(len(log.events), oracle_edges(log))
         assert [inst.node_indices for inst in result.instances] == sorted(expected, key=min)
 
+    @settings(deadline=None, max_examples=200)
+    @given(log=small_logs())
+    @example(log=make_log([("a\x00", "a", 0, ["o1"], {}), ("a", "a", 0, ["o1", "o0"], {}),
+                           ("\x00", "a", 0, ["o0"], {})], {"o1": "T", "o0": "T"}))
+    def test_matches_per_event_gathers(self, log):
+        edges, nodes = reference_build_instances(log)
+        result = build_instances(log)
+        assert result.edges.tobytes() == edges.tobytes() and result.edges.shape == edges.shape
+        assert [inst.node_indices for inst in result.instances] == nodes
+
     def test_partition_invariant_on_generated_log(self):
         log = generate(GenConfig(n_orders=40, seed=5))
         result = build_instances(log)
@@ -150,3 +185,19 @@ class TestInstances:
         first, second = build_instances(golden_log), build_instances(golden_log)
         np.testing.assert_array_equal(first.edges, second.edges)
         assert first.instances == second.instances
+
+
+class TestSortedUnique:
+    @settings(deadline=None)
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40), st.integers(0, 40))
+    @example([], 0)
+    @example([7], 5)
+    def test_matches_np_unique(self, values, repeats):
+        # Appending copies of one key makes all-equal and heavily repeated inputs.
+        keys = np.array(values + values[:1] * repeats, dtype=np.int64)
+        expected = np.unique(keys)
+        found = _sorted_unique(keys)
+        assert found.dtype == expected.dtype and found.tolist() == expected.tolist()
+
+    def test_all_equal(self):
+        assert _sorted_unique(np.full(5, 3, dtype=np.int64)).tolist() == [3]

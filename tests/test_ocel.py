@@ -25,6 +25,7 @@ from ocelad.ocel import (
     UnsupportedAttributeValueError,
     assemble_log,
     format_timestamps,
+    json_value,
     parse_ocel_json,
     parse_timestamp,
     write_ocel_json,
@@ -102,6 +103,32 @@ def logs(draw):
             )
         )
     return assemble_log(events, objects)
+
+
+def reference_infer_schema(events):
+    """Attribute kinds from a scan of every event's attribute map, integers taken as floats.
+
+    Raises at the first value, in event order, that is invalid or of the
+    other kind than the attribute's first value. An integer too large for a
+    float is unsupported.
+    """
+    kinds = {}
+    for event in events:
+        for name, value in event.attributes.items():
+            if isinstance(value, int) and not isinstance(value, bool):
+                try:
+                    value = float(value)
+                except OverflowError:
+                    value = math.inf
+            if isinstance(value, float) and math.isfinite(value):
+                kind = AttributeKind.NUMERIC
+            elif isinstance(value, str):
+                kind = AttributeKind.CATEGORICAL
+            else:
+                raise UnsupportedAttributeValueError(name)
+            if kinds.setdefault(name, kind) is not kind:
+                raise InconsistentAttributeKindError(name)
+    return {name: kinds[name] for name in sorted(kinds)}
 
 
 def doc_with(events=None, objects=None, types=("A",), attrs=()):
@@ -209,6 +236,12 @@ class TestParse:
         text = json.dumps(doc).replace("1.0", "1e999")
         with pytest.raises(UnsupportedAttributeValueError):
             parse_ocel_json(text)
+
+    def test_integer_literal_beyond_conversion_limit(self):
+        # json.loads raises a plain ValueError for an integer of over 4,300 digits.
+        doc = doc_with(events={"e1": event_body(vmap={"x": 1})}, objects={"o1": {"ocel:type": "A"}})
+        with pytest.raises(MalformedDocumentError):
+            parse_ocel_json(json.dumps(doc).replace('"x": 1', '"x": 1' + "0" * 5000))
 
     def test_object_missing_type(self):
         doc = doc_with(objects={"o1": {}})
@@ -321,6 +354,25 @@ class TestTimestamps:
         with pytest.raises(InvalidTimestampError):
             parse_timestamp("15/06/2023 12:00")
 
+    @pytest.mark.parametrize(
+        "text, millis",
+        [
+            ("0001-01-01T01:00:00+01:00", FIRST_MILLIS),
+            ("9999-12-31T22:59:59.999-01:00", LAST_MILLIS),
+        ],
+    )
+    def test_writable_range_edges_accepted(self, text, millis):
+        assert parse_timestamp(text) == millis
+
+    @pytest.mark.parametrize(
+        "text", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"]
+    )
+    def test_outside_writable_range_rejected(self, text):
+        # Valid ISO-8601, but before year 1 or after year 9999 in UTC: the
+        # writer could not write the log back.
+        with pytest.raises(InvalidTimestampError):
+            parse_timestamp(text)
+
     @given(st.lists(log_timestamps, max_size=20))
     @example([FIRST_MILLIS, LAST_MILLIS, -1, -999, -1000, -1001, 0])
     def test_batch_format_matches_datetime(self, millis):
@@ -369,12 +421,16 @@ class TestRoundTrip:
         "value", [True, None, [], {}, [1, "é", {"k": [None, -0.0]}], {"k": {"j": 2}}]
     )
     def test_write_matches_stdlib_layout_for_other_values(self, value):
-        # assemble_log rejects these, but json_value also writes the report,
-        # so the writer lays out any JSON value; the log is patched after assembly.
-        log = make_log([("e1", "a", 0, ["o1"], {"v": 0.0})], {"o1": "T"})
-        log = replace(log, events=(replace(log.events[0], attributes={"v": value}),))
-        expected = json.dumps(reference_document(log), indent=2, ensure_ascii=False)
-        assert write_ocel_json(log) == expected.encode()
+        # A log holds only finite floats and strings, but json_value also
+        # writes the report, so it lays out any JSON value: here as the value
+        # of a vmap member, eight spaces deep, where the writer calls it.
+        nested = {"ocel:events": {"e1": {"ocel:vmap": {"v": value}}}}
+        expected = json.dumps(nested, indent=2, ensure_ascii=False)
+        member = f'"v": {json_value(value, False, "        ")}'
+        assert expected == (
+            '{\n  "ocel:events": {\n    "e1": {\n      "ocel:vmap": {\n        '
+            f"{member}\n      }}\n    }}\n  }}\n}}"
+        )
 
     @settings(deadline=None)
     @given(logs())
@@ -421,6 +477,21 @@ class TestValidate:
         with pytest.raises(MissingFieldError):
             assemble_log((Event("e1", "a", 0, frozenset(), {}),), ())
 
+    @pytest.mark.parametrize("omap", [[1], [None], ["o1", 2.5], [["o1"]]])
+    def test_non_string_omap_entry(self, omap):
+        # str() of these would silently link objects "1" or "None".
+        doc = doc_with(
+            events={"e1": event_body(omap=omap)},
+            objects={"o1": {"ocel:type": "A"}, "1": {"ocel:type": "A"}, "None": {"ocel:type": "A"}},
+        )
+        with pytest.raises(MalformedDocumentError):
+            parse_ocel_json(json.dumps(doc))
+
+    def test_repeated_omap_entry(self):
+        doc = doc_with(events={"e1": event_body(omap=["o1", "o1"])}, objects={"o1": {"ocel:type": "A"}})
+        with pytest.raises(DuplicateIdError):
+            parse_ocel_json(json.dumps(doc))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, None, [1.0]])
     def test_non_finite_numeric(self, value):
         with pytest.raises(UnsupportedAttributeValueError):
@@ -451,6 +522,61 @@ class TestAssemble:
                 ],
                 [ObjectEntry("o1", "T")],
             )
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.none(),
+                    log_floats,
+                    log_texts,
+                    st.integers(-(2**70), 2**70),
+                    st.sampled_from([math.nan, math.inf, -math.inf, True, [1.0], 10**400]),
+                ),
+                log_floats,
+                st.sampled_from(["", "\x00"]),
+            ),
+            max_size=8,
+        )
+    )
+    # Text first: a list after it is unsupported, a number after it the other kind.
+    @example([("s", 0.0, ""), ([1.0], 0.0, "")])
+    @example([("s", 0.0, ""), (2, 0.0, ""), (None, 0.0, "\x00"), (math.nan, 1.0, "")])
+    def test_schema_and_values_match_per_event_scan(self, rows):
+        # Only "x" can be invalid, so the first invalid value in event order decides the error.
+        events = [
+            Event(f"e{i}{suffix}", "a", i, frozenset({"o1"}), {"y": y} if x is None else {"x": x, "y": y})
+            for i, (x, y, suffix) in enumerate(rows)
+        ]
+        try:
+            expected = reference_infer_schema(events)
+        except (UnsupportedAttributeValueError, InconsistentAttributeKindError) as error:
+            with pytest.raises(type(error)):
+                assemble_log(events, [ObjectEntry("o1", "T")])
+            return
+        log = assemble_log(events, [ObjectEntry("o1", "T")])
+        assert dict(log.schema) == expected
+        for event, again in zip(events, log.events):
+            coerced = {name: float(value) if isinstance(value, int) else value
+                       for name, value in event.attributes.items()}
+            assert again == replace(event, attributes=coerced)
+            assert all(type(value) in (float, str) for value in again.attributes.values())
+
+    def test_integer_too_large_for_a_float(self):
+        with pytest.raises(UnsupportedAttributeValueError):
+            assemble_log([Event("e1", "a", 0, frozenset({"o1"}), {"x": 10**400})], [ObjectEntry("o1", "T")])
+        doc = doc_with(events={"e1": event_body(vmap={"x": 1})}, objects={"o1": {"ocel:type": "A"}})
+        with pytest.raises(UnsupportedAttributeValueError):
+            parse_ocel_json(json.dumps(doc).replace('"x": 1', '"x": 1' + "0" * 400))
+
+    def test_events_rebuilt_from_columns_assemble_to_the_same_log(self, golden_log):
+        assert assemble_log(golden_log.events, golden_log.objects) == golden_log
+
+    @settings(deadline=None)
+    @given(logs())
+    def test_events_round_trip_through_assemble(self, log):
+        assert assemble_log(log.events, log.objects) == log
 
     def test_integer_values_coerced_to_float(self):
         log = assemble_log(
