@@ -20,6 +20,16 @@ propagated gradient that the layer below needs anyway. Per-event anomaly
 scores average the squared reconstruction error within each feature group
 first and across groups second, so wide one-hot blocks do not drown out
 single numeric columns.
+
+Training reuses one ``Workspace``, sized before the first epoch: H0's buffer
+and one flat scratch of n * max(h1, h2, k) doubles, which holds each
+short-lived product in turn (H0 * W1, Z * W2, the squared error, and the
+upstream gradients of Xhat, Z and H0). ReLU runs in place on H0's buffer and
+on the fresh arrays that the sparse products return, and the backward pass
+masks each upstream gradient into the buffer of the activation it is masked
+by. So an epoch allocates only the four sparse products' outputs and the
+weight-sized gradients and Adam arrays. Every result has the same bytes as
+with freshly allocated temporaries: ``out=`` never changes the arithmetic.
 """
 
 from __future__ import annotations
@@ -93,12 +103,37 @@ class TrainReport:
     model: GcnaeModel
 
 
+class Workspace:
+    """The buffers an epoch writes into, sized once from n, k and the hidden widths.
+
+    ``h0`` holds the first layer's activation and, after the backward pass,
+    its masked gradient. The flat scratch is viewed through ``scratch``.
+    """
+
+    def __init__(self, n: int, k: int, hidden1: int, hidden2: int) -> None:
+        self.h0 = np.empty((n, hidden1))
+        self._flat = np.empty(n * max(hidden1, hidden2, k))
+
+    def scratch(self, width: int) -> np.ndarray:
+        """The scratch as a C-ordered n x ``width`` matrix."""
+        n = self.h0.shape[0]
+        if n * width > self._flat.size:
+            raise DimensionMismatchError(f"workspace holds no n x {width} scratch")
+        return self._flat[: n * width].reshape(n, width)
+
+
+def _workspace(x: np.ndarray, model: GcnaeModel) -> Workspace:
+    return Workspace(x.shape[0], x.shape[1], model.w0.shape[1], model.w1.shape[1])
+
+
 @dataclass
 class ForwardCache:
     """Intermediates of one forward pass, reused by the backward pass.
 
     The post-activations double as the ReLU masks: relu(p) > 0 exactly when
-    p > 0.
+    p > 0. With a workspace, ``h0`` is the workspace's buffer, and a
+    backward pass given the same workspace overwrites ``h0``, ``z`` and
+    ``xhat`` with masked gradients.
     """
 
     ax: np.ndarray
@@ -125,9 +160,15 @@ def init_model(n_features: int, config: TrainConfig) -> GcnaeModel:
 
 
 def forward_cached(
-    graph: EncodedGraph, model: GcnaeModel, ax: np.ndarray | None = None
+    graph: EncodedGraph,
+    model: GcnaeModel,
+    ax: np.ndarray | None = None,
+    workspace: Workspace | None = None,
 ) -> ForwardCache:
-    """One forward pass; ``ax`` is N * X when the caller already has it."""
+    """One forward pass; ``ax`` is N * X when the caller already has it.
+
+    Without a workspace the pass allocates a fresh one.
+    """
     x = graph.features
     if x.shape[1] != model.w0.shape[0]:
         raise DimensionMismatchError(
@@ -136,9 +177,13 @@ def forward_cached(
     norm = graph.normalized
     if ax is None:
         ax = spmm(norm, x)
-    h0 = relu(matmul(ax, model.w0))
-    z = relu(spmm(norm, matmul(h0, model.w1)))
-    xhat = relu(spmm(norm, matmul(z, model.w2)))
+    if workspace is None:
+        workspace = _workspace(x, model)
+    h0 = relu(matmul(ax, model.w0, out=workspace.h0), out=workspace.h0)
+    z = spmm(norm, matmul(h0, model.w1, out=workspace.scratch(model.w1.shape[1])))
+    relu(z, out=z)
+    xhat = spmm(norm, matmul(z, model.w2, out=workspace.scratch(model.w2.shape[1])))
+    relu(xhat, out=xhat)
     return ForwardCache(ax=ax, h0=h0, z=z, xhat=xhat)
 
 
@@ -148,21 +193,29 @@ def forward(graph: EncodedGraph, model: GcnaeModel) -> tuple[np.ndarray, np.ndar
     return cache.z, cache.xhat
 
 
-def loss(x: np.ndarray, xhat: np.ndarray) -> float:
-    """Average row-wise mean squared error between input and reconstruction."""
+def loss(x: np.ndarray, xhat: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Average row-wise mean squared error between input and reconstruction.
+
+    ``out``, when given, is an x-shaped float64 buffer for the squared error.
+    """
     x = np.asarray(x, dtype=np.float64)
     xhat = np.asarray(xhat, dtype=np.float64)
     if x.shape != xhat.shape:
         raise DimensionMismatchError(f"shape {x.shape} does not match {xhat.shape}")
-    diff = x - xhat
+    if out is not None and (out.shape != x.shape or out.dtype != np.float64):
+        raise DimensionMismatchError(f"out buffer {out.shape} does not match {x.shape}")
+    diff = np.subtract(x, xhat, out=out)
     # Overflow to inf is the signal the training loop turns into
     # NonFiniteLossError; no point warning about it here.
     with np.errstate(over="ignore"):
-        return float(np.mean(diff * diff))
+        return float(np.mean(np.multiply(diff, diff, out=diff)))
 
 
 def backward(
-    graph: EncodedGraph, model: GcnaeModel, cache: ForwardCache
+    graph: EncodedGraph,
+    model: GcnaeModel,
+    cache: ForwardCache,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic gradients of the loss with respect to W0, W1, W2.
 
@@ -170,22 +223,32 @@ def backward(
     upstream gradient by N plays the role of N-transpose, so with
     P = N * d_pre both the weight gradient, input^T * P, and the gradient
     of the layer input, P * W^T, come from one sparse product.
+
+    Each upstream gradient is built in the workspace's scratch and masked
+    into the buffer of its activation, once that activation's last other
+    use is past; so with a workspace the pass consumes ``cache``. Without
+    one it works on copies and leaves ``cache`` intact.
     """
     x = graph.features
     n, k = x.shape
     norm = graph.normalized
+    if workspace is None:
+        workspace = _workspace(x, model)
+        cache = ForwardCache(
+            ax=cache.ax, h0=cache.h0.copy(), z=cache.z.copy(), xhat=cache.xhat.copy()
+        )
 
-    d_xhat = (2.0 / (n * k)) * (cache.xhat - x)
-    n_d_h2 = spmm(norm, relu_backward(d_xhat, cache.xhat))
+    d_xhat = np.subtract(cache.xhat, x, out=workspace.scratch(k))
+    d_xhat *= 2.0 / (n * k)
+    n_d_h2 = spmm(norm, relu_backward(d_xhat, cache.xhat, out=cache.xhat))
     grad_w2 = matmul(cache.z.T, n_d_h2)
 
-    d_z = matmul(n_d_h2, model.w2.T)
-    n_d_h1 = spmm(norm, relu_backward(d_z, cache.z))
+    d_z = matmul(n_d_h2, model.w2.T, out=workspace.scratch(model.w2.shape[0]))
+    n_d_h1 = spmm(norm, relu_backward(d_z, cache.z, out=cache.z))
     grad_w1 = matmul(cache.h0.T, n_d_h1)
 
-    d_h0 = matmul(n_d_h1, model.w1.T)
-    d_h0_pre = relu_backward(d_h0, cache.h0)
-    grad_w0 = matmul(cache.ax.T, d_h0_pre)
+    d_h0 = matmul(n_d_h1, model.w1.T, out=workspace.scratch(model.w1.shape[0]))
+    grad_w0 = matmul(cache.ax.T, relu_backward(d_h0, cache.h0, out=cache.h0))
 
     return grad_w0, grad_w1, grad_w2
 
@@ -207,14 +270,16 @@ def train(graph: EncodedGraph, config: TrainConfig) -> TrainReport:
         for name in ("w0", "w1", "w2")
     }
     losses: list[float] = []
-    ax = spmm(graph.normalized, graph.features)
+    x = graph.features
+    workspace = _workspace(x, model)
+    ax = spmm(graph.normalized, x)
     for epoch in range(config.epochs):
-        cache = forward_cached(graph, model, ax)
-        value = loss(graph.features, cache.xhat)
+        cache = forward_cached(graph, model, ax, workspace)
+        value = loss(x, cache.xhat, out=workspace.scratch(x.shape[1]))
         if not math.isfinite(value):
             raise NonFiniteLossError(epoch, value)
         losses.append(value)
-        grad_w0, grad_w1, grad_w2 = backward(graph, model, cache)
+        grad_w0, grad_w1, grad_w2 = backward(graph, model, cache, workspace)
         model.w0 = adam_step(model.w0, grad_w0, states["w0"])
         model.w1 = adam_step(model.w1, grad_w1, states["w1"])
         model.w2 = adam_step(model.w2, grad_w2, states["w2"])

@@ -5,6 +5,15 @@ scipy CSR kernel, reached through ``SparseAdjacency.csr``, which imports
 ``scipy.sparse`` on first use so that importing the package stays cheap.
 Identical inputs (including generator state) produce bitwise-identical
 outputs at a fixed BLAS thread count.
+
+``matmul``, ``relu`` and ``relu_backward`` write into an optional ``out``
+buffer instead of allocating, with the same bytes as without it, so a
+training loop can reuse one workspace across epochs; ``relu`` may run in
+place. ``relu_backward`` masks bit-wise: ``activation > 0`` becomes an int64
+word of all ones or all zeros, which is ANDed onto the upstream gradient's
+bits. That is exactly ``np.where(activation > 0, upstream, 0.0)``: +0.0
+wherever the test fails (NaN activations included), and every kept upstream
+value, NaN and infinities too, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,15 +35,24 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense matrix product with explicit shape checking."""
+def _check_out(out: np.ndarray, shape: tuple[int, ...]) -> None:
+    if out.shape != shape or out.dtype != np.float64:
+        raise DimensionMismatchError(
+            f"out buffer {out.shape} {out.dtype} does not hold a float64 result of shape {shape}"
+        )
+
+
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Dense matrix product with explicit shape checking, into ``out`` when given."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionMismatchError("matmul operands must be 2-D")
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatchError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
+    if out is not None:
+        _check_out(out, (a.shape[0], b.shape[1]))
+    return np.matmul(a, b, out=out)
 
 
 def spmm(sparse: SparseAdjacency, dense: np.ndarray) -> np.ndarray:
@@ -53,17 +71,24 @@ def spmm(sparse: SparseAdjacency, dense: np.ndarray) -> np.ndarray:
     return sparse.csr @ dense
 
 
-def relu(values: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(np.asarray(values, dtype=np.float64), 0.0)
+def relu(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise max(0, x), into ``out`` when given (``out=values`` runs in place)."""
+    values = np.asarray(values, dtype=np.float64)
+    if out is not None:
+        _check_out(out, values.shape)
+    return np.maximum(values, 0.0, out=out)
 
 
-def relu_backward(upstream: np.ndarray, activation: np.ndarray) -> np.ndarray:
-    """Zero the upstream gradient wherever the activation is <= 0.
+def relu_backward(
+    upstream: np.ndarray, activation: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Zero the upstream gradient wherever the activation is not > 0.
 
     ``activation`` may be the pre-activation or the ReLU output: relu(p) > 0
     exactly when p > 0, so both give the same mask. The derivative at
-    exactly 0 is taken as 0.
+    exactly 0 is taken as 0. The mask is built in ``out``, so ``out`` may be
+    the activation itself (its buffer then holds the masked gradient), but
+    it must not overlap ``upstream``.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     activation = np.asarray(activation, dtype=np.float64)
@@ -71,7 +96,17 @@ def relu_backward(upstream: np.ndarray, activation: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"upstream {upstream.shape} does not match activation {activation.shape}"
         )
-    return np.where(activation > 0.0, upstream, 0.0)
+    if out is None:
+        out = np.empty(upstream.shape)
+    else:
+        _check_out(out, upstream.shape)
+        if np.may_share_memory(out, upstream):
+            raise ValueError("relu_backward cannot write over its upstream gradient")
+    bits = out.view(np.int64)
+    np.greater(activation, 0.0, out=bits)
+    np.negative(bits, out=bits)
+    np.bitwise_and(upstream.view(np.int64), bits, out=bits)
+    return out
 
 
 def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,12 +1,19 @@
 """Forward pass, analytic gradients, training loop, and anomaly scoring."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import ocelad
+from ocelad import autoencoder
 from ocelad.autoencoder import (
     GcnaeModel,
     NonFiniteLossError,
     TrainConfig,
+    TrainReport,
     backward,
     forward,
     forward_cached,
@@ -25,7 +32,7 @@ from ocelad.encoding import (
     normalize_adjacency,
 )
 from ocelad.generator import GenConfig, generate
-from ocelad.numerics import DimensionMismatchError, make_rng, relu
+from ocelad.numerics import AdamState, DimensionMismatchError, adam_step, make_rng, relu
 
 from conftest import finite_difference_gradients, toy_graph
 
@@ -45,6 +52,69 @@ def single_node_graph(x: float) -> EncodedGraph:
         layout=layout,
         event_ids=("e0",),
     )
+
+
+def reference_train(graph: EncodedGraph, config: TrainConfig) -> TrainReport:
+    """The training loop before the workspace: every epoch allocates its temporaries.
+
+    Kept as the byte-identity oracle for ``train``; it spells out the old
+    kernels (``a @ b``, ``np.maximum`` and ``np.where``) inline.
+    """
+    x = graph.features
+    n, k = x.shape
+    csr = graph.normalized.csr
+    model = init_model(k, config)
+    states = {
+        name: AdamState(
+            learning_rate=config.learning_rate,
+            beta1=config.beta1,
+            beta2=config.beta2,
+            epsilon=config.epsilon,
+        )
+        for name in ("w0", "w1", "w2")
+    }
+    losses = []
+    ax = csr @ x
+    for epoch in range(config.epochs):
+        h0 = np.maximum(ax @ model.w0, 0.0)
+        z = np.maximum(csr @ (h0 @ model.w1), 0.0)
+        xhat = np.maximum(csr @ (z @ model.w2), 0.0)
+        diff = x - xhat
+        with np.errstate(over="ignore"):
+            value = float(np.mean(diff * diff))
+        if not math.isfinite(value):
+            raise NonFiniteLossError(epoch, value)
+        losses.append(value)
+        d_xhat = (2.0 / (n * k)) * (xhat - x)
+        n_d_h2 = csr @ np.where(xhat > 0.0, d_xhat, 0.0)
+        grad_w2 = z.T @ n_d_h2
+        d_z = n_d_h2 @ model.w2.T
+        n_d_h1 = csr @ np.where(z > 0.0, d_z, 0.0)
+        grad_w1 = h0.T @ n_d_h1
+        d_h0 = n_d_h1 @ model.w1.T
+        grad_w0 = ax.T @ np.where(h0 > 0.0, d_h0, 0.0)
+        model.w0 = adam_step(model.w0, grad_w0, states["w0"])
+        model.w1 = adam_step(model.w1, grad_w1, states["w1"])
+        model.w2 = adam_step(model.w2, grad_w2, states["w2"])
+    return TrainReport(losses=losses, model=model)
+
+
+def training_outcome(trainer, graph: EncodedGraph, config: TrainConfig) -> tuple:
+    """The bytes of a run's losses and weights, or the epoch and value it failed at."""
+    with np.errstate(all="ignore"):
+        try:
+            report = trainer(graph, config)
+        except NonFiniteLossError as error:
+            return ("non-finite", error.epoch, np.float64(error.value).tobytes())
+    weights = (report.model.w0, report.model.w1, report.model.w2)
+    return ("report", np.array(report.losses).tobytes(), *(w.tobytes() for w in weights))
+
+
+def detect_2k_graph() -> EncodedGraph:
+    """The benchmark's detect-2k log at its seed 11 (generate 11, inject 12), encoded."""
+    clean = ocelad.generate(ocelad.benchmark_config(n_orders=320, seed=11))
+    contaminated, _ = ocelad.inject_all(clean, ocelad.plan_injection(len(clean.ids), 0.10, 12))
+    return encode_log(contaminated)
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -124,6 +194,13 @@ class TestLoss:
         with pytest.raises(DimensionMismatchError):
             loss(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    def test_out_buffer_gives_same_value(self):
+        rng = make_rng(5)
+        x, xhat = rng.standard_normal((9, 4)), rng.standard_normal((9, 4))
+        assert loss(x, xhat, out=np.empty((9, 4))) == loss(x, xhat)
+        with pytest.raises(DimensionMismatchError):
+            loss(x, xhat, out=np.zeros((9, 5)))
+
 
 class TestBackward:
     def test_gradients_match_finite_differences(self):
@@ -153,6 +230,16 @@ class TestBackward:
         cache = forward_cached(graph, model)
         for grad in backward(graph, model, cache):
             np.testing.assert_array_equal(grad, np.zeros_like(grad))
+
+    def test_without_workspace_leaves_cache_intact(self):
+        graph = toy_graph(make_rng(9), n=7, k=4)
+        model = init_model(4, TrainConfig(hidden1=5, hidden2=3, seed=2))
+        cache = forward_cached(graph, model)
+        before = [a.tobytes() for a in (cache.ax, cache.h0, cache.z, cache.xhat)]
+        first = backward(graph, model, cache)
+        assert [a.tobytes() for a in (cache.ax, cache.h0, cache.z, cache.xhat)] == before
+        second = backward(graph, model, cache)
+        assert [g.tobytes() for g in first] == [g.tobytes() for g in second]
 
 
 class TestTrain:
@@ -185,6 +272,79 @@ class TestTrain:
         with pytest.raises(NonFiniteLossError) as excinfo:
             train(graph, TrainConfig(hidden1=3, hidden2=2, epochs=10, seed=0))
         assert excinfo.value.epoch >= 0
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 40),
+        k=st.integers(1, 8),
+        hidden1=st.integers(1, 12),
+        hidden2=st.integers(1, 12),
+        epochs=st.integers(1, 5),
+        learning_rate=st.sampled_from([0.02, 0.5, 1e150, 1e300]),
+    )
+    @example(seed=0, n=1, k=1, hidden1=12, hidden2=12, epochs=5, learning_rate=0.02)
+    @example(seed=1, n=40, k=8, hidden1=1, hidden2=1, epochs=5, learning_rate=0.02)
+    def test_property_same_bytes_as_reference(
+        self, seed, n, k, hidden1, hidden2, epochs, learning_rate
+    ):
+        graph = toy_graph(make_rng(seed), n=n, k=k)
+        config = TrainConfig(
+            hidden1=hidden1, hidden2=hidden2, epochs=epochs, seed=seed,
+            learning_rate=learning_rate,
+        )
+        assert training_outcome(train, graph, config) == training_outcome(
+            reference_train, graph, config
+        )
+
+    def test_detect_2k_graph_same_bytes_as_reference(self):
+        graph = detect_2k_graph()
+        assert graph.features.shape[0] == 1986
+        config = TrainConfig(epochs=50, seed=100)
+        outcome = training_outcome(train, graph, config)
+        assert outcome[0] == "report"
+        assert outcome == training_outcome(reference_train, graph, config)
+
+    def test_non_finite_loss_at_reference_epoch(self):
+        # A huge step sends the weights past float range after the first
+        # update, so both loops stop at epoch 1; overflowing features stop
+        # them at epoch 0.
+        graph = toy_graph(make_rng(10), n=12, k=4)
+        config = TrainConfig(hidden1=6, hidden2=3, epochs=10, seed=3, learning_rate=1e300)
+        diverged = training_outcome(train, graph, config)
+        assert diverged[:2] == ("non-finite", 1)
+        assert diverged == training_outcome(reference_train, graph, config)
+        graph.features[:] = 1e200
+        overflowed = training_outcome(train, graph, config)
+        assert overflowed[:2] == ("non-finite", 0)
+        assert overflowed == training_outcome(reference_train, graph, config)
+
+    def test_epochs_reuse_one_workspace(self, monkeypatch):
+        # Every n-row dense product of every epoch lands in one of two
+        # buffers, H0's and the flat scratch, so no epoch after the first
+        # allocates an n x hidden temporary.
+        graph = toy_graph(make_rng(11), n=30, k=4)
+        h0_buffers, products = [], []
+        original_forward, original_matmul = autoencoder.forward_cached, autoencoder.matmul
+
+        def recording_forward(*args, **kwargs):
+            cache = original_forward(*args, **kwargs)
+            h0_buffers.append(cache.h0)
+            return cache
+
+        def recording_matmul(*args, **kwargs):
+            result = original_matmul(*args, **kwargs)
+            if result.shape[0] == 30:
+                products.append(result)
+            return result
+
+        monkeypatch.setattr(autoencoder, "forward_cached", recording_forward)
+        monkeypatch.setattr(autoencoder, "matmul", recording_matmul)
+        train(graph, TrainConfig(hidden1=8, hidden2=5, epochs=3, seed=0))
+        assert len(h0_buffers) == 3 and len(products) == 15
+        assert all(np.shares_memory(h0_buffers[0], h0) for h0 in h0_buffers[1:])
+        owners = {id(p if p.base is None else p.base) for p in products}
+        assert len(owners) == 2
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

@@ -64,6 +64,42 @@ def sparse_to_dense(sparse):
     return dense
 
 
+# NaN (quiet, negative, with a payload), both infinities, both zeros,
+# subnormals of both signs and ordinary numbers: the values at which a bit
+# mask and np.where could part ways.
+SPECIAL_FLOATS = st.one_of(
+    st.sampled_from(
+        [np.nan, -np.nan, np.float64(np.int64(0x7FF0000000000001).view(np.float64)),
+         np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@st.composite
+def maybe_transposed(draw, rows, cols, elements):
+    """A rows x cols float64 matrix, C-ordered or the transposed view of one."""
+    if draw(st.booleans()):
+        return draw(arrays(np.float64, (cols, rows), elements=elements)).T
+    return draw(arrays(np.float64, (rows, cols), elements=elements))
+
+
+@st.composite
+def relu_operands(draw):
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    upstream = draw(maybe_transposed(rows, cols, SPECIAL_FLOATS))
+    activation = draw(maybe_transposed(rows, cols, SPECIAL_FLOATS))
+    return upstream, activation
+
+
+@st.composite
+def matmul_operands(draw):
+    rows, inner, cols = (draw(st.integers(1, 12)) for _ in range(3))
+    a = draw(maybe_transposed(rows, inner, SPECIAL_FLOATS))
+    b = draw(maybe_transposed(inner, cols, SPECIAL_FLOATS))
+    return a, b
+
+
 @st.composite
 def sparse_and_dense(draw):
     """A CSR matrix (empty rows and nnz == 0 included) and a dense operand.
@@ -108,6 +144,34 @@ class TestMatmul:
             matmul(np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(DimensionMismatchError):
             matmul(np.zeros(3), np.zeros((3, 1)))
+
+    @settings(deadline=None)
+    @given(matmul_operands())
+    def test_out_property_same_bytes_as_operator(self, operands):
+        a, b = operands
+        buffer = np.full((a.shape[0], b.shape[1]), 7.0)
+        with np.errstate(all="ignore"):
+            expected = (a @ b).tobytes()
+            assert matmul(a, b, out=buffer) is buffer
+        assert buffer.tobytes() == expected
+
+    def test_out_same_bytes_at_training_shapes(self):
+        rng = make_rng(12)
+        a = rng.standard_normal((1986, 64))
+        for b in (rng.standard_normal((64, 32)), rng.standard_normal((16, 64)).T):
+            buffer = np.empty((1986, b.shape[1]))
+            matmul(a, b, out=buffer)
+            assert buffer.tobytes() == (a @ b).tobytes()
+        gradient = np.empty((64, 16))
+        c = rng.standard_normal((1986, 16))
+        matmul(a.T, c, out=gradient)
+        assert gradient.tobytes() == (a.T @ c).tobytes()
+
+    def test_out_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            matmul(np.zeros((2, 3)), np.zeros((3, 4)), out=np.zeros((2, 3)))
+        with pytest.raises(DimensionMismatchError):
+            matmul(np.zeros((2, 3)), np.zeros((3, 4)), out=np.zeros((2, 4), dtype=np.float32))
 
 
 class TestSpmm:
@@ -186,6 +250,34 @@ class TestRelu:
     def test_backward_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             relu_backward(np.zeros((2, 2)), np.zeros((2, 3)))
+
+    def test_in_place(self):
+        values = np.array([[-1.0, 2.0, -0.0, np.nan]])
+        assert relu(values, out=values) is values
+        assert values.tobytes() == np.maximum([[-1.0, 2.0, -0.0, np.nan]], 0.0).tobytes()
+        with pytest.raises(DimensionMismatchError):
+            relu(values, out=np.zeros((2, 4)))
+
+    def test_backward_rejects_unfit_out(self):
+        with pytest.raises(DimensionMismatchError):
+            relu_backward(np.zeros((2, 2)), np.zeros((2, 2)), out=np.zeros((2, 3)))
+        upstream = np.ones((2, 2))
+        with pytest.raises(ValueError):
+            relu_backward(upstream, np.ones((2, 2)), out=upstream)
+
+    @settings(deadline=None, max_examples=300)
+    @given(relu_operands())
+    def test_backward_property_same_bytes_as_where(self, operands):
+        upstream, activation = operands
+        expected = np.where(activation > 0.0, upstream, 0.0).tobytes()
+        assert relu_backward(upstream, activation).tobytes() == expected
+        buffer = np.full(upstream.shape, 7.0)
+        assert relu_backward(upstream, activation, out=buffer) is buffer
+        assert buffer.tobytes() == expected
+        # The activation's own buffer may take the masked gradient.
+        own = activation.copy()
+        relu_backward(upstream, own, out=own)
+        assert own.tobytes() == expected
 
 
 class TestGlorot:
