@@ -78,9 +78,6 @@ class TrainConfig:
     learning_rate: float = 0.02
     epochs: int = 800
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.hidden1 < 1 or self.hidden2 < 1:
@@ -89,10 +86,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("Adam betas must be in [0, 1)")
-        if not self.epsilon > 0:
-            raise ValueError("Adam epsilon must be positive")
 
 
 @dataclass
@@ -260,15 +253,7 @@ def train(graph: EncodedGraph, config: TrainConfig) -> TrainReport:
     if the loss leaves the finite range.
     """
     model = init_model(graph.features.shape[1], config)
-    states = {
-        name: AdamState(
-            learning_rate=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            epsilon=config.epsilon,
-        )
-        for name in ("w0", "w1", "w2")
-    }
+    states = {name: AdamState() for name in ("w0", "w1", "w2")}
     losses: list[float] = []
     x = graph.features
     workspace = _workspace(x, model)
@@ -280,9 +265,9 @@ def train(graph: EncodedGraph, config: TrainConfig) -> TrainReport:
             raise NonFiniteLossError(epoch, value)
         losses.append(value)
         grad_w0, grad_w1, grad_w2 = backward(graph, model, cache, workspace)
-        model.w0 = adam_step(model.w0, grad_w0, states["w0"])
-        model.w1 = adam_step(model.w1, grad_w1, states["w1"])
-        model.w2 = adam_step(model.w2, grad_w2, states["w2"])
+        model.w0 = adam_step(model.w0, grad_w0, states["w0"], config.learning_rate)
+        model.w1 = adam_step(model.w1, grad_w1, states["w1"], config.learning_rate)
+        model.w2 = adam_step(model.w2, grad_w2, states["w2"], config.learning_rate)
     return TrainReport(losses=losses, model=model)
 
 

@@ -1,9 +1,11 @@
 """Command-line entry point: generate, inject, detect, evaluate, pipeline.
 
 Every command is reproducible: the same flags and seed produce identical
-output files. Settings resolve as flags > config file (--config, JSON)
-> built-in defaults; the pipeline echoes its effective settings into a
-manifest next to the artifacts.
+output files. Each setting is declared once, in ``SETTINGS``, which derives
+every command's flags and the keys and JSON types a config file may hold.
+Settings resolve as flags > config file (--config, JSON) > built-in
+defaults; the pipeline echoes its effective settings into a manifest next to
+the artifacts.
 
 Exit codes: 0 success, 2 configuration, input or I/O error, 3 injection
 infeasible, 4 numeric failure during training, 5 evaluation join failure or
@@ -17,6 +19,7 @@ import json
 import sys
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .generator import GenConfig, generate
 from .injection import (
     GroundTruth,
     InjectionError,
+    InjectionPlan,
     InsufficientCandidatesError,
     inject_all,
     plan_injection,
@@ -47,31 +51,40 @@ from .scoring import (
     validate_k_factor,
 )
 
-GENERATE_DEFAULTS = {
-    "orders": 500,
-    "seed": 0,
-    "mean_step_minutes": 15.0,
-    "items_min": 1,
-    "items_max": 3,
-    "group_min": 1,
-    "group_max": 2,
+
+class Setting(NamedTuple):
+    """A setting: the flag ``--`` plus its name with dashes, and the config key ``name``."""
+
+    type: type
+    default: int | float | bool
+    help: str
+    commands: tuple[str, ...]
+
+
+_GEN, _TRAIN = GenConfig(), TrainConfig()
+_SHAPE, _INJECT, _DETECT = ("generate", "pipeline"), ("inject", "pipeline"), ("detect", "pipeline")
+SETTINGS = {
+    "seed": Setting(int, _GEN.seed, "random seed", ("generate", "inject", "detect", "pipeline")),
+    "orders": Setting(int, _GEN.n_orders, "number of orders", _SHAPE),
+    "mean_step_minutes": Setting(float, _GEN.mean_step_minutes, "mean minutes per event", _SHAPE),
+    "items_min": Setting(int, _GEN.items_per_order[0], "min items per order", _SHAPE),
+    "items_max": Setting(int, _GEN.items_per_order[1], "max items per order", _SHAPE),
+    "group_min": Setting(int, _GEN.orders_per_package[0], "min orders per package", _SHAPE),
+    "group_max": Setting(int, _GEN.orders_per_package[1], "max orders per package", _SHAPE),
+    "rate": Setting(float, 0.10, "target contamination rate", _INJECT),
+    "repeat": Setting(int, 1, "number of detection seeds", ("pipeline",)),
+    "epochs": Setting(int, _TRAIN.epochs, "training epochs", _DETECT),
+    "hidden1": Setting(int, _TRAIN.hidden1, "first hidden width", _DETECT),
+    "hidden2": Setting(int, _TRAIN.hidden2, "latent width", _DETECT),
+    "lr": Setting(float, _TRAIN.learning_rate, "Adam learning rate", _DETECT),
+    "k_factor": Setting(float, 1.5, "IQR multiplier, finite and >= 0", _DETECT),
+    "no_scale_numeric": Setting(
+        bool, False, "encode numeric attributes raw instead of min-max scaled", _DETECT
+    ),
 }
-INJECT_DEFAULTS = {"rate": 0.10, "seed": 0}
-DETECT_DEFAULTS = {
-    "seed": 0,
-    "epochs": 800,
-    "hidden1": 64,
-    "hidden2": 32,
-    "lr": 0.02,
-    "k_factor": 1.5,
-    "no_scale_numeric": False,
-}
-PIPELINE_DEFAULTS = {
-    **GENERATE_DEFAULTS,
-    **INJECT_DEFAULTS,
-    **DETECT_DEFAULTS,
-    "repeat": 1,
-}
+# The JSON value types a config file may give a setting of each type. They are
+# matched exactly, so true and false are not integers.
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
 
 
 class EvaluationJoinError(Exception):
@@ -105,82 +118,88 @@ def run_detection(
     )
 
 
-def _effective(args: argparse.Namespace, defaults: dict) -> dict:
-    """Resolve settings: explicit flags > config file > defaults.
+def _effective(args: argparse.Namespace) -> dict:
+    """The command's settings: explicit flags > config file > defaults.
 
-    A config file may hold any pipeline setting, so one file serves every
-    command; a key no command knows is an error, not silently ignored.
+    A config file may hold any setting, so one file serves every command; a
+    key no command knows, or a value of another JSON type than its setting's,
+    is an error, not silently ignored or cast.
     """
-    settings = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    settings = {name: s.default for name, s in SETTINGS.items() if args.command in s.commands}
+    if args.config:
+        loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(loaded, dict):
-            raise ValueError(f"{config_path}: settings must be a JSON object")
-        unknown = sorted(set(loaded) - set(PIPELINE_DEFAULTS))
+            raise ValueError(f"{args.config}: settings must be a JSON object")
+        unknown = sorted(set(loaded) - set(SETTINGS))
         if unknown:
-            raise ValueError(f"{config_path}: unknown setting(s) {unknown}")
+            raise ValueError(f"{args.config}: unknown setting(s) {unknown}")
         for key, value in loaded.items():
-            if not isinstance(value, (int, float, str)):
-                raise ValueError(f"{config_path}: setting {key!r} is {value!r}, not a scalar")
+            kind = SETTINGS[key].type
+            if type(value) not in _JSON_TYPES[kind]:
+                raise ValueError(f"{args.config}: setting {key!r} is {value!r}, not {kind.__name__}")
             if key in settings:
-                settings[key] = value
-    for key in defaults:
-        value = getattr(args, key, None)
+                settings[key] = kind(value)
+    for key in settings:
+        value = getattr(args, key)
         if value is not None:
             settings[key] = value
     return settings
 
 
-def _train_config(settings: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        hidden1=int(settings["hidden1"]),
-        hidden2=int(settings["hidden2"]),
-        learning_rate=float(settings["lr"]),
-        epochs=int(settings["epochs"]),
-        seed=seed,
+def _generate_into(path: Path, settings: dict) -> ObjectCentricLog:
+    """The generated log, also written to ``path``."""
+    log = generate(
+        GenConfig(
+            n_orders=settings["orders"],
+            items_per_order=(settings["items_min"], settings["items_max"]),
+            orders_per_package=(settings["group_min"], settings["group_max"]),
+            seed=settings["seed"],
+            mean_step_minutes=settings["mean_step_minutes"],
+        )
     )
+    path.write_bytes(write_ocel_json(log))
+    return log
 
 
-def _gen_config(settings: dict) -> GenConfig:
-    return GenConfig(
-        n_orders=int(settings["orders"]),
-        items_per_order=(int(settings["items_min"]), int(settings["items_max"])),
-        orders_per_package=(int(settings["group_min"]), int(settings["group_max"])),
-        seed=int(settings["seed"]),
-        mean_step_minutes=float(settings["mean_step_minutes"]),
-    )
+def _inject_into(
+    path: Path, truth_path: Path, log: ObjectCentricLog, rate: float, seed: int
+) -> tuple[InjectionPlan, ObjectCentricLog, GroundTruth]:
+    """Inject into ``log``; the result goes to ``path`` and its truth to ``truth_path``."""
+    plan = plan_injection(len(log.ids), rate, seed)
+    contaminated, truth = inject_all(log, plan)
+    path.write_bytes(write_ocel_json(contaminated))
+    truth_path.write_text(truth.to_csv(), encoding="utf-8")
+    return plan, contaminated, truth
 
 
 def _detect_into(path: Path, log: ObjectCentricLog, settings: dict, seed: int) -> DetectionReport:
     """Detection with the effective settings; the report goes to ``path`` and a CSV beside it."""
-    report = run_detection(
-        log,
-        _train_config(settings, seed),
-        k_factor=float(settings["k_factor"]),
-        scale_numeric=not settings["no_scale_numeric"],
+    config = TrainConfig(
+        hidden1=settings["hidden1"],
+        hidden2=settings["hidden2"],
+        learning_rate=settings["lr"],
+        epochs=settings["epochs"],
+        seed=seed,
     )
+    report = run_detection(log, config, settings["k_factor"], not settings["no_scale_numeric"])
     path.write_text(report_to_json(report), encoding="utf-8")
     path.with_suffix(".csv").write_text(report_to_csv(report), encoding="utf-8")
     return report
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    settings = _effective(args, GENERATE_DEFAULTS)
-    log = generate(_gen_config(settings))
-    Path(args.output).write_bytes(write_ocel_json(log))
+    log = _generate_into(Path(args.output), _effective(args))
     print(f"wrote {len(log.ids)} events to {args.output}")
     return 0
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
-    settings = _effective(args, INJECT_DEFAULTS)
+    settings = _effective(args)
     log = parse_ocel_json(Path(args.input).read_bytes())
-    plan = plan_injection(len(log.ids), float(settings["rate"]), int(settings["seed"]))
-    contaminated, truth = inject_all(log, plan)
-    Path(args.output).write_bytes(write_ocel_json(contaminated))
-    truth_path = args.truth or str(Path(args.output).with_suffix(".truth.csv"))
-    Path(truth_path).write_text(truth.to_csv(), encoding="utf-8")
+    output = Path(args.output)
+    truth_path = Path(args.truth) if args.truth else output.with_suffix(".truth.csv")
+    rate, seed = settings["rate"], settings["seed"]
+    plan, contaminated, _ = _inject_into(output, truth_path, log, rate, seed)
     print(
         f"injected {plan.total} anomalies "
         f"({plan.attr_swap}/{plan.timestamp_shift}/{plan.random_activity}); "
@@ -190,11 +209,11 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    settings = _effective(args, DETECT_DEFAULTS)
+    settings = _effective(args)
     log = parse_ocel_json(Path(args.input).read_bytes())
     if not log.ids:
         raise ValueError("cannot run detection on an empty log")
-    report = _detect_into(Path(args.output), log, settings, int(settings["seed"]))
+    report = _detect_into(Path(args.output), log, settings, settings["seed"])
     n_anomalous = int(report.labels.sum())
     print(
         f"scored {len(report.event_ids)} events; tau={report.threshold.tau:.6g}; "
@@ -210,19 +229,11 @@ def _join_metrics(report: DetectionReport, truth: GroundTruth) -> MetricsBlock:
     return compute_metrics(report.scores, report.labels, types)
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    truth = GroundTruth.from_csv(Path(args.truth).read_text(encoding="utf-8"))
-    named: list[tuple[str, MetricsBlock]] = []
-    for report_path in args.report:
-        report = report_from_json(Path(report_path).read_text(encoding="utf-8"))
-        named.append((Path(report_path).name, _join_metrics(report, truth)))
+def _write_metrics(named: list[tuple[str, MetricsBlock]], output: Path | None) -> None:
+    """Print the metrics table of the named runs, and write their JSON to ``output`` if given."""
     print(format_metrics_table(named))
-    if args.output:
-        Path(args.output).write_text(_metrics_json(named), encoding="utf-8")
-    return 0
-
-
-def _metrics_json(named: list[tuple[str, MetricsBlock]]) -> str:
+    if output is None:
+        return
     runs = [{"report": name, **_metrics_to_dict(metrics)} for name, metrics in named]
     doc: dict = {"runs": runs}
     if len(runs) > 1:
@@ -233,41 +244,44 @@ def _metrics_json(named: list[tuple[str, MetricsBlock]]) -> str:
             doc[stat]["per_type_recall"] = {
                 t: float(reduce([r["per_type_recall"][t] for r in runs])) for t in type_names
             }
-    return json.dumps(doc, indent=2)
+    output.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+
+
+def _cmd_evaluate(args: argparse.Namespace) -> int:
+    truth = GroundTruth.from_csv(Path(args.truth).read_text(encoding="utf-8"))
+    named: list[tuple[str, MetricsBlock]] = []
+    for report_path in args.report:
+        report = report_from_json(Path(report_path).read_text(encoding="utf-8"))
+        named.append((Path(report_path).name, _join_metrics(report, truth)))
+    _write_metrics(named, Path(args.output) if args.output else None)
+    return 0
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    settings = _effective(args, PIPELINE_DEFAULTS)
+    settings = _effective(args)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base_seed = int(settings["seed"])
-    repeat = int(settings["repeat"])
-    if repeat < 1:
+    base_seed = settings["seed"]
+    if settings["repeat"] < 1:
         raise ValueError("repeat must be >= 1")
 
-    clean = generate(_gen_config({**settings, "seed": base_seed}))
     clean_path = out_dir / "clean.jsonocel"
-    clean_path.write_bytes(write_ocel_json(clean))
+    clean = _generate_into(clean_path, settings)
 
     inject_seed = base_seed + 1
-    plan = plan_injection(len(clean.ids), float(settings["rate"]), inject_seed)
-    contaminated, truth = inject_all(clean, plan)
     contaminated_path = out_dir / "contaminated.jsonocel"
-    contaminated_path.write_bytes(write_ocel_json(contaminated))
     truth_path = out_dir / "truth.csv"
-    truth_path.write_text(truth.to_csv(), encoding="utf-8")
+    plan, contaminated, truth = _inject_into(
+        contaminated_path, truth_path, clean, settings["rate"], inject_seed
+    )
 
-    detect_seeds = [base_seed + 2 + i for i in range(repeat)]
+    detect_seeds = [base_seed + 2 + i for i in range(settings["repeat"])]
     named: list[tuple[str, MetricsBlock]] = []
-    report_files: list[str] = []
     for seed in detect_seeds:
         report_path = out_dir / f"report_seed{seed}.json"
         report = _detect_into(report_path, contaminated, settings, seed)
-        report_files.append(report_path.name)
         named.append((report_path.name, _join_metrics(report, truth)))
-
-    print(format_metrics_table(named))
-    (out_dir / "metrics.json").write_text(_metrics_json(named), encoding="utf-8")
+    _write_metrics(named, out_dir / "metrics.json")
 
     manifest = {
         "command": "pipeline",
@@ -282,12 +296,25 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             "clean_log": clean_path.name,
             "contaminated_log": contaminated_path.name,
             "truth": truth_path.name,
-            "reports": report_files,
+            "reports": [name for name, _ in named],
             "metrics": "metrics.json",
         },
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
     return 0
+
+
+def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
+    """The flags of every setting that ``command`` takes, and ``--config``."""
+    for name, setting in SETTINGS.items():
+        if command not in setting.commands:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if setting.type is bool:
+            parser.add_argument(flag, action="store_const", const=True, help=setting.help)
+        else:
+            parser.add_argument(flag, type=setting.type, help=setting.help)
+    parser.add_argument("--config", help="JSON settings file")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -297,32 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shape_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--orders", type=int, default=None, help="number of orders")
-        p.add_argument("--mean-step-minutes", dest="mean_step_minutes", type=float, default=None)
-        p.add_argument("--items-min", dest="items_min", type=int, default=None)
-        p.add_argument("--items-max", dest="items_max", type=int, default=None)
-        p.add_argument("--group-min", dest="group_min", type=int, default=None,
-                       help="min orders per package")
-        p.add_argument("--group-max", dest="group_max", type=int, default=None,
-                       help="max orders per package")
-
-    def add_detect_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--hidden1", type=int, default=None)
-        p.add_argument("--hidden2", type=int, default=None)
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--k-factor", dest="k_factor", type=float, default=None)
-        p.add_argument("--no-scale-numeric", dest="no_scale_numeric", action="store_const",
-                       const=True, default=None,
-                       help="encode numeric attributes raw instead of min-max scaled")
-        p.add_argument("--config", default=None, help="JSON settings file")
-
     gen = sub.add_parser("generate", help="generate a synthetic order/item/package log")
-    gen.add_argument("--seed", type=int, default=None)
-    add_shape_flags(gen)
-    gen.add_argument("--config", default=None, help="JSON settings file")
     gen.add_argument("--output", "-o", required=True, help="OCEL JSON output path")
     gen.set_defaults(func=_cmd_generate)
 
@@ -330,15 +332,11 @@ def _build_parser() -> argparse.ArgumentParser:
     inj.add_argument("--input", "-i", required=True, help="clean OCEL JSON")
     inj.add_argument("--output", "-o", required=True, help="contaminated OCEL JSON")
     inj.add_argument("--truth", default=None, help="ground-truth CSV path")
-    inj.add_argument("--rate", type=float, default=None, help="target contamination rate")
-    inj.add_argument("--seed", type=int, default=None)
-    inj.add_argument("--config", default=None, help="JSON settings file")
     inj.set_defaults(func=_cmd_inject)
 
     det = sub.add_parser("detect", help="train the autoencoder and label anomalies")
     det.add_argument("--input", "-i", required=True, help="OCEL JSON to analyze")
     det.add_argument("--output", "-o", required=True, help="report JSON path (CSV written alongside)")
-    add_detect_flags(det)
     det.set_defaults(func=_cmd_detect)
 
     ev = sub.add_parser("evaluate", help="join reports with ground truth and print metrics")
@@ -349,12 +347,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pipe = sub.add_parser("pipeline", help="generate, inject, detect and evaluate in one run")
     pipe.add_argument("--output-dir", "-o", required=True)
-    add_shape_flags(pipe)
-    pipe.add_argument("--rate", type=float, default=None)
-    pipe.add_argument("--repeat", type=int, default=None, help="number of detection seeds")
-    add_detect_flags(pipe)
     pipe.set_defaults(func=_cmd_pipeline)
 
+    for name, command in sub.choices.items():
+        if name != "evaluate":
+            _add_settings(command, name)
     return parser
 
 
@@ -364,7 +361,7 @@ _EXIT_CODES = {
     InsufficientCandidatesError: 3,
     NonFiniteLossError: 4,
     **dict.fromkeys((EvaluationJoinError, SingleClassError, NoPositivesError), 5),
-    **dict.fromkeys((OcelError, InjectionError, OSError, ValueError), 2),
+    **dict.fromkeys((OcelError, InjectionError, OSError, ValueError, OverflowError), 2),
 }
 
 

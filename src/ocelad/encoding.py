@@ -266,6 +266,6 @@ def encode_log(log: ObjectCentricLog, scale_numeric: bool = True) -> EncodedGrap
         normalized=normalized,
         features=features,
         layout=layout,
-        event_ids=log.event_ids(),
+        event_ids=log.ids,
     )
 

@@ -37,7 +37,6 @@ class GenConfig:
     items_per_order: tuple[int, int] = (1, 3)
     orders_per_package: tuple[int, int] = (1, 2)
     seed: int = 0
-    base_time: int = DEFAULT_BASE_TIME
     mean_step_minutes: float = 15.0
 
     def __post_init__(self) -> None:
@@ -55,7 +54,7 @@ def generate(config: GenConfig) -> ObjectCentricLog:
     rng = make_rng(config.seed)
     step_ms = config.mean_step_minutes * 60_000.0
 
-    clock = config.base_time
+    clock = DEFAULT_BASE_TIME
     events: list[Event] = []
     objects: list[ObjectEntry] = []
     package_counter = 0

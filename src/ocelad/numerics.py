@@ -117,24 +117,28 @@ def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
+# Adam's moment decay rates and denominator offset, the values of Kingma & Ba.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Per-parameter Adam accumulators and hyperparameters.
+    """Per-parameter Adam accumulators.
 
     Moment buffers are allocated lazily on the first step so one constructor
     covers any parameter shape.
     """
 
-    learning_rate: float = 0.005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     t: int = 0
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.ndarray:
+def adam_step(
+    params: np.ndarray, grads: np.ndarray, state: AdamState, learning_rate: float
+) -> np.ndarray:
     """One bias-corrected Adam update; mutates ``state``, returns new parameters."""
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
@@ -150,8 +154,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.nda
             f"optimizer state shape {state.m.shape} does not match parameters {params.shape}"
         )
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = state.m / (1.0 - state.beta1**state.t)
-    v_hat = state.v / (1.0 - state.beta2**state.t)
-    return params - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
+    return params - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)

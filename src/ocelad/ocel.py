@@ -143,9 +143,6 @@ class ObjectCentricLog:
     def activities(self) -> frozenset[str]:
         return frozenset(self.activity_vocabulary)
 
-    def event_ids(self) -> tuple[str, ...]:
-        return self.ids
-
     def values(self, name: str) -> np.ndarray:
         """Attribute ``name`` of every event as an object array: float or str, None if missing."""
         column = self.columns[name]

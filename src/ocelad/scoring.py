@@ -72,14 +72,12 @@ class MetricsBlock:
 
 @dataclass
 class DetectionReport:
-    """Per-event scores and labels, the threshold, optional truth and metrics."""
+    """Per-event scores and labels, and the threshold."""
 
     event_ids: tuple[str, ...]
     scores: np.ndarray
     labels: np.ndarray
     threshold: ThresholdResult
-    truth: tuple[str, ...] | None = None
-    metrics: MetricsBlock | None = None
 
 
 def quantile(values: Sequence[float] | np.ndarray, q: float) -> float:
@@ -287,20 +285,17 @@ def report_to_json(report: DetectionReport) -> str:
     """
     quote = encode_basestring_ascii
     events = []
-    for index, (event_id, score, anomalous) in enumerate(
-        zip(
-            report.event_ids,
-            np.asarray(report.scores, dtype=np.float64).tolist(),
-            np.asarray(report.labels).tolist(),
-        )
+    for event_id, score, anomalous in zip(
+        report.event_ids,
+        np.asarray(report.scores, dtype=np.float64).tolist(),
+        np.asarray(report.labels).tolist(),
     ):
         label = "anomalous" if anomalous else NORMAL_LABEL
-        truth = "" if report.truth is None else f',\n      "truth": {quote(report.truth[index])}'
         events.append(
             "{\n"
             f'      "event_id": {quote(event_id)},\n'
             f'      "score": {json_value(score, True, "      ")},\n'
-            f'      "label": "{label}"{truth}\n'
+            f'      "label": "{label}"\n'
             "    }"
         )
     threshold = {
@@ -314,8 +309,6 @@ def report_to_json(report: DetectionReport) -> str:
         f'"threshold": {json_value(threshold, True, "  ")}',
         f'"events": {json_block(events, "  ", "[]")}',
     ]
-    if report.metrics is not None:
-        blocks.append(f'"metrics": {json_value(_metrics_to_dict(report.metrics), True, "  ")}')
     return json_block(blocks, "", "{}")
 
 
@@ -331,31 +324,17 @@ def report_from_json(text: str) -> DetectionReport:
         threshold = ThresholdResult(**doc["threshold"])
         scores = np.array([entry["score"] for entry in events], dtype=np.float64)
         labels = np.array([entry["label"] == "anomalous" for entry in events], dtype=bool)
-        with_truth = bool(events) and "truth" in events[0]
-        truth = tuple(entry["truth"] for entry in events) if with_truth else None
-        metrics = MetricsBlock(**doc["metrics"]) if "metrics" in doc else None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a detection report: {exc!r}") from exc
     if len(set(event_ids)) != len(event_ids):
         raise DuplicateIdError(f"event {_first_duplicate(event_ids)!r} listed twice in report")
-    return DetectionReport(
-        event_ids=event_ids,
-        scores=scores,
-        labels=labels,
-        threshold=threshold,
-        truth=truth,
-        metrics=metrics,
-    )
+    return DetectionReport(event_ids=event_ids, scores=scores, labels=labels, threshold=threshold)
 
 
 def report_to_csv(report: DetectionReport) -> str:
-    """CSV serialization: event id, score, label, and truth when present."""
-    with_truth = report.truth is not None
-    rows = [["event_id", "score", "label"] + (["truth"] if with_truth else [])]
+    """CSV serialization: event id, score and label."""
+    rows = [["event_id", "score", "label"]]
     for index, event_id in enumerate(report.event_ids):
         label = "anomalous" if report.labels[index] else NORMAL_LABEL
-        row = [event_id, repr(float(report.scores[index])), label]
-        if with_truth:
-            row.append(report.truth[index])
-        rows.append(row)
+        rows.append([event_id, repr(float(report.scores[index])), label])
     return csv_text(rows)

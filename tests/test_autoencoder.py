@@ -64,15 +64,7 @@ def reference_train(graph: EncodedGraph, config: TrainConfig) -> TrainReport:
     n, k = x.shape
     csr = graph.normalized.csr
     model = init_model(k, config)
-    states = {
-        name: AdamState(
-            learning_rate=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            epsilon=config.epsilon,
-        )
-        for name in ("w0", "w1", "w2")
-    }
+    states = {name: AdamState() for name in ("w0", "w1", "w2")}
     losses = []
     ax = csr @ x
     for epoch in range(config.epochs):
@@ -93,9 +85,9 @@ def reference_train(graph: EncodedGraph, config: TrainConfig) -> TrainReport:
         grad_w1 = h0.T @ n_d_h1
         d_h0 = n_d_h1 @ model.w1.T
         grad_w0 = ax.T @ np.where(h0 > 0.0, d_h0, 0.0)
-        model.w0 = adam_step(model.w0, grad_w0, states["w0"])
-        model.w1 = adam_step(model.w1, grad_w1, states["w1"])
-        model.w2 = adam_step(model.w2, grad_w2, states["w2"])
+        model.w0 = adam_step(model.w0, grad_w0, states["w0"], config.learning_rate)
+        model.w1 = adam_step(model.w1, grad_w1, states["w1"], config.learning_rate)
+        model.w2 = adam_step(model.w2, grad_w2, states["w2"], config.learning_rate)
     return TrainReport(losses=losses, model=model)
 
 
@@ -353,10 +345,6 @@ class TestTrain:
             TrainConfig(hidden1=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
-        for adam in ({"beta1": 1.0}, {"beta1": -0.1}, {"beta2": float("nan")},
-                     {"epsilon": 0.0}, {"epsilon": float("nan")}):
-            with pytest.raises(ValueError):
-                TrainConfig(**adam)
 
 
 class TestScores:

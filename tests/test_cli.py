@@ -1,5 +1,7 @@
 """Command-line interface: artifacts, exit codes, reproducibility."""
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import ocelad.cli as cli
-from ocelad.autoencoder import NonFiniteLossError
+from ocelad.autoencoder import NonFiniteLossError, train
 from ocelad.cli import main
 from ocelad.injection import GroundTruth
 from ocelad.ocel import parse_ocel_json, write_ocel_json
@@ -316,6 +318,105 @@ class TestPipeline:
             )
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "document",
+        [{"no_scale_numeric": "false"}, {"epochs": True}, {"epochs": 3.9}, {"rate": "0.1"}],
+        ids=["bool-as-string", "bool-as-int", "float-as-int", "string-as-float"],
+    )
+    def test_config_value_of_wrong_type_is_config_error(
+        self, tmp_path, monkeypatch, capsys, document
+    ):
+        # Each of these used to be cast or ignored: "false" turned scaling
+        # off, true trained one epoch, 3.9 trained three.
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps(document))
+        monkeypatch.setattr(cli, "train", lambda graph, config: pytest.fail("trained"))
+        args = ["pipeline", "-o", str(tmp_path / "run"), "--orders", "30", "--config", str(config)]
+        assert run(args) == 2
+        assert repr(next(iter(document))) in capsys.readouterr().err
+        assert not (tmp_path / "run" / "clean.jsonocel").exists()
+
+    def test_config_integer_beyond_float_range_is_config_error(self, tmp_path, monkeypatch):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"lr": 10**400}))
+        monkeypatch.setattr(cli, "train", lambda graph, config: pytest.fail("trained"))
+        args = ["pipeline", "-o", str(tmp_path / "run"), "--orders", "30", "--config", str(config)]
+        assert run(args) == 2
+
+    def test_config_values_take_their_setting_type(self, tmp_path):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"k_factor": 2, "no_scale_numeric": True, "epochs": 2}))
+        out_dir = tmp_path / "run"
+        args = ["pipeline", "-o", str(out_dir), "--orders", "30", "--hidden1", "4",
+                "--hidden2", "2", "--config", str(config)]
+        assert run(args) == 0
+        settings = json.loads((out_dir / "manifest.json").read_text())["settings"]
+        assert (settings["k_factor"], settings["no_scale_numeric"]) == (2.0, True)
+        assert type(settings["k_factor"]) is float
+
     def test_repeat_must_be_positive(self, tmp_path):
         code = run(["pipeline", "-o", str(tmp_path / "x"), "--orders", "30", "--repeat", "0"])
         assert code == 2
+
+
+class TestSurface:
+    """Each command's flags and the defaults it runs with, as literal values."""
+
+    OPTIONS = {
+        "generate": [
+            "--config", "--group-max", "--group-min", "--help", "--items-max", "--items-min",
+            "--mean-step-minutes", "--orders", "--output", "--seed", "-h", "-o",
+        ],
+        "inject": [
+            "--config", "--help", "--input", "--output", "--rate", "--seed", "--truth",
+            "-h", "-i", "-o",
+        ],
+        "detect": [
+            "--config", "--epochs", "--help", "--hidden1", "--hidden2", "--input",
+            "--k-factor", "--lr", "--no-scale-numeric", "--output", "--seed", "-h", "-i", "-o",
+        ],
+        "evaluate": ["--help", "--output", "--report", "--truth", "-h", "-o"],
+        "pipeline": [
+            "--config", "--epochs", "--group-max", "--group-min", "--help", "--hidden1",
+            "--hidden2", "--items-max", "--items-min", "--k-factor", "--lr",
+            "--mean-step-minutes", "--no-scale-numeric", "--orders", "--output-dir", "--rate",
+            "--repeat", "--seed", "-h", "-o",
+        ],
+    }
+    DEFAULTS = {
+        "epochs": 800,
+        "group_max": 2,
+        "group_min": 1,
+        "hidden1": 64,
+        "hidden2": 32,
+        "items_max": 3,
+        "items_min": 1,
+        "k_factor": 1.5,
+        "lr": 0.02,
+        "mean_step_minutes": 15.0,
+        "no_scale_numeric": False,
+        "orders": 500,
+        "rate": 0.1,
+        "repeat": 1,
+        "seed": 0,
+    }
+
+    def test_option_strings(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            name: sorted(option for action in command._actions for option in action.option_strings)
+            for name, command in sub.choices.items()
+        }
+        assert options == self.OPTIONS
+
+    def test_pipeline_manifest_defaults(self, tmp_path, monkeypatch):
+        # One epoch instead of the recorded 800 keeps the run short; the
+        # manifest echoes the settings, not what the stub did with them.
+        monkeypatch.setattr(
+            cli, "train", lambda graph, config: train(graph, dataclasses.replace(config, epochs=1))
+        )
+        assert run(["pipeline", "-o", str(tmp_path)]) == 0
+        settings = json.loads((tmp_path / "manifest.json").read_text())["settings"]
+        # Dumped, so that 15 and 15.0 differ.
+        assert json.dumps(settings) == json.dumps(self.DEFAULTS)

@@ -416,5 +416,5 @@ class TestEncodeLog:
         assert graph.n == n
         assert graph.features.shape == (n, graph.layout.n_columns)
         assert graph.normalized.n == n
-        assert graph.event_ids == golden_log.event_ids()
+        assert graph.event_ids == golden_log.ids
 

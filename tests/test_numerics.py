@@ -304,16 +304,16 @@ class TestGlorot:
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = np.array([[1.0, -2.0]])
-        state = AdamState(learning_rate=0.1)
-        updated = adam_step(params, np.zeros_like(params), state)
+        state = AdamState()
+        updated = adam_step(params, np.zeros_like(params), state, 0.1)
         np.testing.assert_array_equal(updated, params)
         assert state.t == 1
 
     def test_single_step_hand_value(self):
         # With g=1 and fresh state, bias correction gives a step of
         # lr * 1 / (1 + eps), which is 0.1 to within 1e-8.
-        state = AdamState(learning_rate=0.1, beta1=0.9, beta2=0.999, epsilon=1e-8)
-        updated = adam_step(np.array([[1.0]]), np.array([[1.0]]), state)
+        state = AdamState()
+        updated = adam_step(np.array([[1.0]]), np.array([[1.0]]), state, 0.1)
         expected = 1.0 - 0.1 / (1.0 + 1e-8)
         assert abs(updated[0, 0] - expected) < 1e-15
         assert abs(updated[0, 0] - 0.9) < 1e-6
@@ -322,30 +322,30 @@ class TestAdam:
         rng = make_rng(6)
         params = rng.random((3, 4))
         grads = rng.standard_normal((3, 4))
-        s1 = AdamState(learning_rate=0.01)
-        s2 = AdamState(learning_rate=0.01)
-        first = adam_step(params.copy(), grads, s1)
-        second = adam_step(params.copy(), grads, s2)
+        s1 = AdamState()
+        s2 = AdamState()
+        first = adam_step(params.copy(), grads, s1, 0.01)
+        second = adam_step(params.copy(), grads, s2, 0.01)
         np.testing.assert_array_equal(first, second)
-        third = adam_step(first, grads, copy.deepcopy(s1))
-        fourth = adam_step(second, grads, copy.deepcopy(s2))
+        third = adam_step(first, grads, copy.deepcopy(s1), 0.01)
+        fourth = adam_step(second, grads, copy.deepcopy(s2), 0.01)
         np.testing.assert_array_equal(third, fourth)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            adam_step(np.zeros((2, 2)), np.zeros((2, 3)), AdamState())
+            adam_step(np.zeros((2, 2)), np.zeros((2, 3)), AdamState(), 0.1)
         state = AdamState()
-        adam_step(np.zeros((2, 2)), np.zeros((2, 2)), state)
+        adam_step(np.zeros((2, 2)), np.zeros((2, 2)), state, 0.1)
         with pytest.raises(DimensionMismatchError):
-            adam_step(np.zeros((3, 3)), np.zeros((3, 3)), state)
+            adam_step(np.zeros((3, 3)), np.zeros((3, 3)), state, 0.1)
 
     def test_finite_inputs_stay_finite(self):
         rng = make_rng(8)
-        state = AdamState(learning_rate=0.5)
+        state = AdamState()
         params = rng.standard_normal((4, 4)) * 100
         for _ in range(50):
             grads = rng.standard_normal((4, 4)) * 100
-            params = adam_step(params, grads, state)
+            params = adam_step(params, grads, state, 0.5)
             assert np.isfinite(params).all()
 
 

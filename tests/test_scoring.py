@@ -18,7 +18,6 @@ from ocelad.scoring import (
     LengthMismatchError,
     NoPositivesError,
     SingleClassError,
-    MetricsBlock,
     ThresholdResult,
     auc_pr,
     auc_roc,
@@ -48,8 +47,6 @@ def reference_report_document(report):
             "score": float(report.scores[index]),
             "label": "anomalous" if report.labels[index] else "normal",
         }
-        if report.truth is not None:
-            entry["truth"] = report.truth[index]
         events.append(entry)
     doc = {
         "threshold": {
@@ -61,15 +58,6 @@ def reference_report_document(report):
         },
         "events": events,
     }
-    if report.metrics is not None:
-        doc["metrics"] = {
-            "f1": report.metrics.f1,
-            "auc_roc": report.metrics.auc_roc,
-            "auc_pr": report.metrics.auc_pr,
-            "recall_at_k": report.metrics.recall_at_k,
-            "k": report.metrics.k,
-            "per_type_recall": dict(sorted(report.metrics.per_type_recall.items())),
-        }
     return doc
 
 
@@ -90,21 +78,11 @@ def reports(draw):
     labels = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
     q1, q3, iqr, tau = (draw(report_floats) for _ in range(4))
     k_factor = draw(st.one_of(report_floats, st.integers(0, 3)))
-    truth = None
-    if draw(st.booleans()):
-        truth = tuple(draw(st.lists(report_texts, min_size=n, max_size=n)))
-    metrics = None
-    if draw(st.booleans()):
-        f1, auc, ap, recall = (draw(report_floats) for _ in range(4))
-        per_type = draw(st.dictionaries(report_texts, report_floats, max_size=3))
-        metrics = MetricsBlock(f1, auc, ap, recall, draw(st.integers(0, 99)), per_type)
     return DetectionReport(
         event_ids=event_ids,
         scores=scores,
         labels=labels,
         threshold=ThresholdResult(q1=q1, q3=q3, iqr=iqr, tau=tau, k_factor=k_factor),
-        truth=truth,
-        metrics=metrics,
     )
 
 
@@ -398,16 +376,14 @@ class TestAgainstExactOracles:
 
 
 class TestReportSerialization:
-    def build_report(self, with_truth=True):
+    def build_report(self):
         scores = np.array([0.1, 0.12, 0.15, 0.2, 9.0])
         threshold = iqr_threshold(scores)
-        truth = ("normal", "normal", "normal", "normal", "attr_swap")
         return DetectionReport(
             event_ids=("e1", "e2", "e3", "e4", "e5"),
             scores=scores,
             labels=label_events(scores, threshold),
             threshold=threshold,
-            truth=truth if with_truth else None,
         )
 
     def test_json_round_trip(self):
@@ -417,7 +393,6 @@ class TestReportSerialization:
         np.testing.assert_array_equal(again.scores, report.scores)
         np.testing.assert_array_equal(again.labels, report.labels)
         assert again.threshold == report.threshold
-        assert again.truth == report.truth
 
     def test_json_deterministic(self):
         assert report_to_json(self.build_report()) == report_to_json(self.build_report())
@@ -425,33 +400,26 @@ class TestReportSerialization:
     def test_csv_shape(self):
         text = report_to_csv(self.build_report())
         lines = text.strip().splitlines()
-        assert lines[0] == "event_id,score,label,truth"
+        assert lines[0] == "event_id,score,label"
         assert len(lines) == 6
-        assert lines[5] == "e5,9.0,anomalous,attr_swap"
+        assert lines[5] == "e5,9.0,anomalous"
 
     def test_csv_quotes_special_ids(self):
         report = self.build_report()
         report.event_ids = ("a,b", 'q"x', "c\rd", "e4", "e5")
         rows = list(csv.reader(io.StringIO(report_to_csv(report), newline="")))
         assert [row[0] for row in rows[1:]] == list(report.event_ids)
-        assert all(len(row) == 4 for row in rows)
+        assert all(len(row) == 3 for row in rows)
 
     @settings(deadline=None)
     @given(reports())
     def test_csv_reads_back(self, report):
         expected = [
             [event_id, repr(float(score)), "anomalous" if label else "normal"]
-            + ([] if report.truth is None else [report.truth[index]])
-            for index, (event_id, score, label) in enumerate(
-                zip(report.event_ids, report.scores, report.labels)
-            )
+            for event_id, score, label in zip(report.event_ids, report.scores, report.labels)
         ]
         rows = list(csv.reader(io.StringIO(report_to_csv(report), newline="")))
         assert rows[1:] == expected
-
-    def test_csv_without_truth(self):
-        text = report_to_csv(self.build_report(with_truth=False))
-        assert text.splitlines()[0] == "event_id,score,label"
 
     @settings(deadline=None)
     @given(reports())
@@ -471,12 +439,6 @@ class TestReportSerialization:
         repeated = text.replace('"events": [', '"events": [], "events": [', 1)
         with pytest.raises(DuplicateIdError):
             report_from_json(repeated)
-
-    def test_metrics_block_embedded(self):
-        report = self.build_report()
-        report.metrics = compute_metrics(report.scores, report.labels, report.truth)
-        again = report_from_json(report_to_json(report))
-        assert again.metrics == report.metrics
 
 
 class TestComputeMetrics:
