@@ -421,6 +421,12 @@ class TestReportSerialization:
         rows = list(csv.reader(io.StringIO(report_to_csv(report), newline="")))
         assert rows[1:] == expected
 
+    def test_csv_without_truth(self):
+        # Ground truth lives in the log, not the report: no CSV column carries it.
+        text = report_to_csv(self.build_report())
+        assert text.splitlines()[0] == "event_id,score,label"
+        assert "truth" not in text
+
     @settings(deadline=None)
     @given(reports())
     def test_json_matches_stdlib_layout(self, report):
