@@ -15,10 +15,10 @@ from .autoencoder import (
     backward,
     forward,
     loss,
+    run_detection,
     score_events,
     train,
 )
-from .cli import main, run_detection
 from .encoding import (
     EncodedGraph,
     FeatureLayout,
@@ -98,7 +98,6 @@ __all__ = [
     "iqr_threshold",
     "label_events",
     "loss",
-    "main",
     "normalize_adjacency",
     "parse_ocel_json",
     "plan_injection",

@@ -1,5 +1,8 @@
 """Graph convolutional autoencoder: forward, analytic backward, training, scoring.
 
+``run_detection`` is the end-to-end entry point, from a parsed log to a
+``DetectionReport``.
+
 The encoder is two graph-convolution layers and the decoder one more, all
 sharing the normalized adjacency N:
 
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import EncodedGraph, FeatureLayout
+from .encoding import EncodedGraph, FeatureLayout, encode_log
 from .numerics import (
     AdamState,
     DimensionMismatchError,
@@ -51,6 +54,8 @@ from .numerics import (
     relu_backward,
     spmm,
 )
+from .ocel import ObjectCentricLog
+from .scoring import DetectionReport, iqr_threshold, label_events, validate_k_factor
 
 
 class NonFiniteLossError(Exception):
@@ -84,8 +89,8 @@ class TrainConfig:
             raise ValueError("hidden widths must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
 
 
 @dataclass
@@ -287,3 +292,22 @@ def score_events(x: np.ndarray, xhat: np.ndarray, layout: FeatureLayout) -> np.n
     ]
     return np.mean(group_means, axis=0)
 
+
+def run_detection(
+    log: ObjectCentricLog, config: TrainConfig, k_factor: float = 1.5, scale_numeric: bool = True
+) -> DetectionReport:
+    """Encode ``log``, train, score every event and label it against the IQR threshold.
+
+    A bad ``k_factor`` is rejected before any work starts. ``train`` checks
+    the loss before each update only, so the final model's is checked here.
+    """
+    validate_k_factor(k_factor)
+    graph = encode_log(log, scale_numeric=scale_numeric)
+    report = train(graph, config)
+    _, xhat = forward(graph, report.model)
+    value = loss(graph.features, xhat)
+    if not math.isfinite(value):
+        raise NonFiniteLossError(config.epochs, value)
+    scores = score_events(graph.features, xhat, graph.layout)
+    threshold = iqr_threshold(scores, k_factor=k_factor)
+    return DetectionReport(graph.event_ids, scores, label_events(scores, threshold), threshold)

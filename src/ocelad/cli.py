@@ -1,15 +1,15 @@
 """Command-line entry point: generate, inject, detect, evaluate, pipeline.
 
-Every command is reproducible: the same flags and seed produce identical
-output files. Each setting is declared once, in ``SETTINGS``, which derives
-every command's flags and the keys and JSON types a config file may hold.
-Settings resolve as flags > config file (--config, JSON) > built-in
-defaults; the pipeline echoes its effective settings into a manifest next to
-the artifacts.
+Each setting is declared once, in ``SETTINGS``, which derives every command's
+flags and the keys and JSON types a config file may hold. Settings resolve
+as flags > config file (--config, a JSON object, no key repeated) > defaults.
+Same flags and seed, same files: ``detect`` writes a report JSON and a CSV;
+``pipeline`` writes logs, truth, reports, metrics JSON and a settings manifest.
 
-Exit codes: 0 success, 2 configuration, input or I/O error, 3 injection
-infeasible, 4 numeric failure during training, 5 evaluation join failure or
-a metric undefined on the ground truth.
+Exit codes: 0 success, 2 configuration, input or I/O error (a non-finite
+setting too), 3 injection infeasible, 4 a training loss or the final
+reconstruction not finite, 5 evaluation join failure or a metric undefined
+on the ground truth, which the pipeline checks before training.
 """
 
 from __future__ import annotations
@@ -17,14 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
-from .autoencoder import NonFiniteLossError, TrainConfig, forward, score_events, train
-from .encoding import encode_log
+from .autoencoder import NonFiniteLossError, TrainConfig, run_detection
 from .generator import GenConfig, generate
 from .injection import (
     GroundTruth,
@@ -34,17 +30,15 @@ from .injection import (
     inject_all,
     plan_injection,
 )
-from .ocel import ObjectCentricLog, OcelError, parse_ocel_json, write_ocel_json
+from .ocel import ObjectCentricLog, OcelError, _unique_keys, parse_ocel_json, write_ocel_json
 from .scoring import (
     DetectionReport,
     MetricsBlock,
     NoPositivesError,
     SingleClassError,
-    _metrics_to_dict,
     compute_metrics,
     format_metrics_table,
-    iqr_threshold,
-    label_events,
+    metrics_document,
     report_from_json,
     report_to_csv,
     report_to_json,
@@ -91,33 +85,6 @@ class EvaluationJoinError(Exception):
     """Report and ground truth do not describe the same events."""
 
 
-def run_detection(
-    log: ObjectCentricLog,
-    config: TrainConfig,
-    k_factor: float = 1.5,
-    scale_numeric: bool = True,
-) -> DetectionReport:
-    """The end-to-end detection pipeline on an in-memory log.
-
-    Reconstructs instances, encodes the graph, trains the autoencoder,
-    scores every event, and labels the events against the IQR threshold.
-    A bad ``k_factor`` is rejected before any of that work starts.
-    """
-    validate_k_factor(k_factor)
-    graph = encode_log(log, scale_numeric=scale_numeric)
-    report = train(graph, config)
-    _, xhat = forward(graph, report.model)
-    scores = score_events(graph.features, xhat, graph.layout)
-    threshold = iqr_threshold(scores, k_factor=k_factor)
-    labels = label_events(scores, threshold)
-    return DetectionReport(
-        event_ids=graph.event_ids,
-        scores=scores,
-        labels=labels,
-        threshold=threshold,
-    )
-
-
 def _effective(args: argparse.Namespace) -> dict:
     """The command's settings: explicit flags > config file > defaults.
 
@@ -127,7 +94,7 @@ def _effective(args: argparse.Namespace) -> dict:
     """
     settings = {name: s.default for name, s in SETTINGS.items() if args.command in s.commands}
     if args.config:
-        loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        loaded = json.loads(Path(args.config).read_text("utf-8"), object_pairs_hook=_unique_keys)
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config}: settings must be a JSON object")
         unknown = sorted(set(loaded) - set(SETTINGS))
@@ -172,15 +139,21 @@ def _inject_into(
     return plan, contaminated, truth
 
 
-def _detect_into(path: Path, log: ObjectCentricLog, settings: dict, seed: int) -> DetectionReport:
-    """Detection with the effective settings; the report goes to ``path`` and a CSV beside it."""
-    config = TrainConfig(
+def _train_config(settings: dict, seed: int) -> TrainConfig:
+    """The training settings; built before any work, so a bad one stops the command early."""
+    return TrainConfig(
         hidden1=settings["hidden1"],
         hidden2=settings["hidden2"],
         learning_rate=settings["lr"],
         epochs=settings["epochs"],
         seed=seed,
     )
+
+
+def _detect_into(
+    path: Path, log: ObjectCentricLog, config: TrainConfig, settings: dict
+) -> DetectionReport:
+    """Detection with the effective settings; the report goes to ``path`` and a CSV beside it."""
     report = run_detection(log, config, settings["k_factor"], not settings["no_scale_numeric"])
     path.write_text(report_to_json(report), encoding="utf-8")
     path.with_suffix(".csv").write_text(report_to_csv(report), encoding="utf-8")
@@ -210,10 +183,11 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     settings = _effective(args)
+    config = _train_config(settings, settings["seed"])
     log = parse_ocel_json(Path(args.input).read_bytes())
     if not log.ids:
         raise ValueError("cannot run detection on an empty log")
-    report = _detect_into(Path(args.output), log, settings, settings["seed"])
+    report = _detect_into(Path(args.output), log, config, settings)
     n_anomalous = int(report.labels.sum())
     print(
         f"scored {len(report.event_ids)} events; tau={report.threshold.tau:.6g}; "
@@ -231,20 +205,10 @@ def _join_metrics(report: DetectionReport, truth: GroundTruth) -> MetricsBlock:
 
 def _write_metrics(named: list[tuple[str, MetricsBlock]], output: Path | None) -> None:
     """Print the metrics table of the named runs, and write their JSON to ``output`` if given."""
-    print(format_metrics_table(named))
-    if output is None:
-        return
-    runs = [{"report": name, **_metrics_to_dict(metrics)} for name, metrics in named]
-    doc: dict = {"runs": runs}
-    if len(runs) > 1:
-        keys = ["f1", "auc_roc", "auc_pr", "recall_at_k"]
-        type_names = sorted({t for _, m in named for t in m.per_type_recall})
-        for stat, reduce in (("mean", np.mean), ("std", partial(np.std, ddof=1))):
-            doc[stat] = {key: float(reduce([r[key] for r in runs])) for key in keys}
-            doc[stat]["per_type_recall"] = {
-                t: float(reduce([r["per_type_recall"][t] for r in runs])) for t in type_names
-            }
-    output.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    document = metrics_document(named)
+    print(format_metrics_table(document))
+    if output is not None:
+        output.write_text(json.dumps(document, indent=2), encoding="utf-8")
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -259,11 +223,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     settings = _effective(args)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     base_seed = settings["seed"]
     if settings["repeat"] < 1:
         raise ValueError("repeat must be >= 1")
+    detect_seeds = [base_seed + 2 + i for i in range(settings["repeat"])]
+    configs = [_train_config(settings, seed) for seed in detect_seeds]
+    validate_k_factor(settings["k_factor"])
+    out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     clean_path = out_dir / "clean.jsonocel"
     clean = _generate_into(clean_path, settings)
@@ -274,12 +241,13 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     plan, contaminated, truth = _inject_into(
         contaminated_path, truth_path, clean, settings["rate"], inject_seed
     )
+    if sum(truth.counts().values()) in (0, len(truth.labels)):
+        raise SingleClassError("AUC-ROC needs both classes present")
 
-    detect_seeds = [base_seed + 2 + i for i in range(settings["repeat"])]
     named: list[tuple[str, MetricsBlock]] = []
-    for seed in detect_seeds:
-        report_path = out_dir / f"report_seed{seed}.json"
-        report = _detect_into(report_path, contaminated, settings, seed)
+    for config in configs:
+        report_path = out_dir / f"report_seed{config.seed}.json"
+        report = _detect_into(report_path, contaminated, config, settings)
         named.append((report_path.name, _join_metrics(report, truth)))
     _write_metrics(named, out_dir / "metrics.json")
 

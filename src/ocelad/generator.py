@@ -15,6 +15,7 @@ tie-break-free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .numerics import make_rng
@@ -45,8 +46,8 @@ class GenConfig:
         for low, high in (self.items_per_order, self.orders_per_package):
             if low < 1 or high < low:
                 raise ValueError("ranges must be non-empty with low >= 1")
-        if self.mean_step_minutes <= 0:
-            raise ValueError("mean_step_minutes must be positive")
+        if not (math.isfinite(self.mean_step_minutes) and self.mean_step_minutes > 0):
+            raise ValueError("mean_step_minutes must be finite and positive")
 
 
 def generate(config: GenConfig) -> ObjectCentricLog:

@@ -235,30 +235,47 @@ def compute_metrics(
     )
 
 
-def format_metrics_table(named_metrics: list[tuple[str, MetricsBlock]]) -> str:
-    """Human-readable metrics table; adds mean +/- std rows over multiple runs.
+_RUN_METRICS = ("f1", "auc_roc", "auc_pr", "recall_at_k")
 
-    Values are printed as percentages. The spread row uses the sample
-    standard deviation.
+
+def metrics_document(named_metrics: list[tuple[str, MetricsBlock]]) -> dict:
+    """The metrics JSON of the named runs: ``runs``, and ``mean`` and ``std`` over several.
+
+    A run holds its name under ``report``, then its metrics in field order.
+    ``std`` is the sample standard deviation; a type a run lacks counts as NaN.
     """
-    type_names = sorted({t for _, m in named_metrics for t in m.per_type_recall})
+    runs = [
+        {"report": name, **asdict(m), "per_type_recall": dict(sorted(m.per_type_recall.items()))}
+        for name, m in named_metrics
+    ]
+    doc: dict = {"runs": runs}
+    if len(runs) > 1:
+        type_names = sorted({t for run in runs for t in run["per_type_recall"]})
+        for stat, reduce in (("mean", np.mean), ("std", lambda v: np.std(v, ddof=1))):
+            doc[stat] = {key: float(reduce([run[key] for run in runs])) for key in _RUN_METRICS}
+            doc[stat]["per_type_recall"] = {
+                t: float(reduce([run["per_type_recall"].get(t, math.nan) for run in runs]))
+                for t in type_names
+            }
+    return doc
+
+
+def format_metrics_table(document: dict) -> str:
+    """Human-readable table of a ``metrics_document``, values as percentages."""
+    runs = document["runs"]
+    type_names = sorted({t for run in runs for t in run["per_type_recall"]})
     headers = ["run", "F1", "AUC-ROC", "AUC-PR", "Recall@k"] + [
         f"R@k {name}" for name in type_names
     ]
 
-    def row_values(metrics: MetricsBlock) -> list[float]:
-        base = [metrics.f1, metrics.auc_roc, metrics.auc_pr, metrics.recall_at_k]
-        return base + [metrics.per_type_recall.get(name, float("nan")) for name in type_names]
+    def row_values(entry: dict) -> list[float]:
+        per_type = [entry["per_type_recall"].get(name, math.nan) for name in type_names]
+        return [entry[key] for key in _RUN_METRICS] + per_type
 
-    rows = [[name] + [f"{100 * v:.1f}" for v in row_values(m)] for name, m in named_metrics]
-    if len(named_metrics) > 1:
-        stacked = np.array([row_values(m) for _, m in named_metrics], dtype=np.float64)
-        means = stacked.mean(axis=0)
-        stds = stacked.std(axis=0, ddof=1)
-        rows.append(
-            ["mean +/- std"]
-            + [f"{100 * mu:.1f} +/- {100 * sd:.1f}" for mu, sd in zip(means, stds)]
-        )
+    rows = [[run["report"]] + [f"{100 * v:.1f}" for v in row_values(run)] for run in runs]
+    if "mean" in document:
+        spread = zip(row_values(document["mean"]), row_values(document["std"]))
+        rows.append(["mean +/- std"] + [f"{100 * mu:.1f} +/- {100 * sd:.1f}" for mu, sd in spread])
 
     widths = [
         max(len(headers[i]), max(len(row[i]) for row in rows)) for i in range(len(headers))
@@ -269,11 +286,6 @@ def format_metrics_table(named_metrics: list[tuple[str, MetricsBlock]]) -> str:
     ]
     lines.extend("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows)
     return "\n".join(lines)
-
-
-def _metrics_to_dict(metrics: MetricsBlock) -> dict:
-    """The metrics in field order, the per-type recalls sorted by type."""
-    return {**asdict(metrics), "per_type_recall": dict(sorted(metrics.per_type_recall.items()))}
 
 
 def report_to_json(report: DetectionReport) -> str:
@@ -298,15 +310,8 @@ def report_to_json(report: DetectionReport) -> str:
             f'      "label": "{label}"\n'
             "    }"
         )
-    threshold = {
-        "q1": report.threshold.q1,
-        "q3": report.threshold.q3,
-        "iqr": report.threshold.iqr,
-        "tau": report.threshold.tau,
-        "k_factor": report.threshold.k_factor,
-    }
     blocks = [
-        f'"threshold": {json_value(threshold, True, "  ")}',
+        f'"threshold": {json_value(asdict(report.threshold), True, "  ")}',
         f'"events": {json_block(events, "  ", "[]")}',
     ]
     return json_block(blocks, "", "{}")

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ocelad.autoencoder as autoencoder
 import ocelad.cli as cli
 from ocelad.autoencoder import NonFiniteLossError, train
 from ocelad.cli import main
@@ -75,6 +76,13 @@ class TestGenerate:
         n_config = len(parse_ocel_json(from_config.read_bytes()).events)
         n_flag = len(parse_ocel_json(flag_wins.read_bytes()).events)
         assert n_flag > n_config
+
+    def test_infinite_mean_step_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "log.jsonocel"
+        args = ["generate", "--orders", "2", "--mean-step-minutes", "inf", "-o", str(path)]
+        assert run(args) == 2
+        assert "mean_step_minutes" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_config_may_hold_other_commands_settings(self, tmp_path):
         config = tmp_path / "settings.json"
@@ -154,14 +162,14 @@ class TestDetect:
     ):
         config = tmp_path / "settings.json"
         config.write_text(json.dumps({"epoch": 3}))
-        monkeypatch.setattr(cli, "train", lambda graph, config: pytest.fail("trained"))
+        monkeypatch.setattr(autoencoder, "train", lambda graph, config: pytest.fail("trained"))
         args = ["detect", "-i", str(small_log_path), "-o", str(tmp_path / "r.json"),
                 "--config", str(config)]
         assert run(args) == 2
         assert "epoch" in capsys.readouterr().err
 
     def test_non_finite_k_factor_is_config_error(self, tmp_path, small_log_path, monkeypatch):
-        monkeypatch.setattr(cli, "train", lambda graph, config: pytest.fail("trained"))
+        monkeypatch.setattr(autoencoder, "train", lambda graph, config: pytest.fail("trained"))
         args = self.detect_args(small_log_path, tmp_path / "r.json") + ["--k-factor", "nan"]
         assert run(args) == 2
         assert not (tmp_path / "r.json").exists()
@@ -169,7 +177,7 @@ class TestDetect:
     def test_null_config_setting_is_config_error(self, tmp_path, small_log_path, monkeypatch):
         config = tmp_path / "settings.json"
         config.write_text(json.dumps({"epochs": None}))
-        monkeypatch.setattr(cli, "train", lambda graph, config: pytest.fail("trained"))
+        monkeypatch.setattr(autoencoder, "train", lambda graph, config: pytest.fail("trained"))
         args = ["detect", "-i", str(small_log_path), "-o", str(tmp_path / "r.json"),
                 "--config", str(config)]
         assert run(args) == 2
@@ -178,9 +186,31 @@ class TestDetect:
         def explode(graph, config):
             raise NonFiniteLossError(3, float("inf"))
 
-        monkeypatch.setattr(cli, "train", explode)
+        monkeypatch.setattr(autoencoder, "train", explode)
         code = run(self.detect_args(small_log_path, tmp_path / "r.json"))
         assert code == 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_final_reconstruction_exit_code(self, tmp_path, small_log_path, capsys):
+        # The one epoch's loss is checked before its update; the update
+        # itself blows the weights up, so only the final model shows it.
+        out = tmp_path / "r.json"
+        args = ["detect", "-i", str(small_log_path), "-o", str(out), "--epochs", "1",
+                "--lr", "1e300"]
+        assert run(args) == 4
+        assert "not finite at epoch 1" in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".csv").exists()
+
+    def test_repeated_config_key_is_config_error(
+        self, tmp_path, small_log_path, monkeypatch, capsys
+    ):
+        config = tmp_path / "settings.json"
+        config.write_text('{"epochs": 5, "epochs": 3}')
+        monkeypatch.setattr(autoencoder, "train", lambda graph, config: pytest.fail("trained"))
+        args = ["detect", "-i", str(small_log_path), "-o", str(tmp_path / "r.json"),
+                "--config", str(config)]
+        assert run(args) == 2
+        assert "'epochs' appears twice" in capsys.readouterr().err
 
 
 def write_perfect_run(tmp_path):
@@ -330,16 +360,29 @@ class TestPipeline:
         # off, true trained one epoch, 3.9 trained three.
         config = tmp_path / "settings.json"
         config.write_text(json.dumps(document))
-        monkeypatch.setattr(cli, "train", lambda graph, config: pytest.fail("trained"))
+        monkeypatch.setattr(autoencoder, "train", lambda graph, config: pytest.fail("trained"))
         args = ["pipeline", "-o", str(tmp_path / "run"), "--orders", "30", "--config", str(config)]
         assert run(args) == 2
         assert repr(next(iter(document))) in capsys.readouterr().err
         assert not (tmp_path / "run" / "clean.jsonocel").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
+         ("--k-factor", "nan", "k_factor")],
+    )
+    def test_non_finite_detection_setting_exits_before_any_work(
+        self, tmp_path, capsys, flag, value, name
+    ):
+        out_dir = tmp_path / "run"
+        assert run(["pipeline", "-o", str(out_dir), "--orders", "30", flag, value]) == 2
+        assert name in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_config_integer_beyond_float_range_is_config_error(self, tmp_path, monkeypatch):
         config = tmp_path / "settings.json"
         config.write_text(json.dumps({"lr": 10**400}))
-        monkeypatch.setattr(cli, "train", lambda graph, config: pytest.fail("trained"))
+        monkeypatch.setattr(autoencoder, "train", lambda graph, config: pytest.fail("trained"))
         args = ["pipeline", "-o", str(tmp_path / "run"), "--orders", "30", "--config", str(config)]
         assert run(args) == 2
 
@@ -353,6 +396,14 @@ class TestPipeline:
         settings = json.loads((out_dir / "manifest.json").read_text())["settings"]
         assert (settings["k_factor"], settings["no_scale_numeric"]) == (2.0, True)
         assert type(settings["k_factor"]) is float
+
+    def test_truth_without_anomaly_exits_before_training(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(autoencoder, "train", lambda graph, config: pytest.fail("trained"))
+        out_dir = tmp_path / "run"
+        args = ["pipeline", "-o", str(out_dir), "--orders", "60", "--rate", "0", "--repeat", "3"]
+        assert run(args) == 5
+        assert "both classes" in capsys.readouterr().err
+        assert not list(out_dir.glob("report_seed*"))
 
     def test_repeat_must_be_positive(self, tmp_path):
         code = run(["pipeline", "-o", str(tmp_path / "x"), "--orders", "30", "--repeat", "0"])
@@ -401,6 +452,18 @@ class TestSurface:
         "seed": 0,
     }
 
+    def test_package_does_not_import_cli(self):
+        # Were the package to import its CLI, `python -m ocelad.cli` would
+        # execute cli.py twice and print runpy's RuntimeWarning.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import sys, ocelad, ocelad.autoencoder;"
+            "assert 'ocelad.cli' not in sys.modules and 'argparse' not in sys.modules;"
+            "assert ocelad.run_detection is ocelad.autoencoder.run_detection"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
     def test_option_strings(self):
         parser = cli._build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -414,7 +477,7 @@ class TestSurface:
         # One epoch instead of the recorded 800 keeps the run short; the
         # manifest echoes the settings, not what the stub did with them.
         monkeypatch.setattr(
-            cli, "train", lambda graph, config: train(graph, dataclasses.replace(config, epochs=1))
+            autoencoder, "train", lambda graph, config: train(graph, dataclasses.replace(config, epochs=1))
         )
         assert run(["pipeline", "-o", str(tmp_path)]) == 0
         settings = json.loads((tmp_path / "manifest.json").read_text())["settings"]

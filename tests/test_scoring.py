@@ -26,6 +26,7 @@ from ocelad.scoring import (
     format_metrics_table,
     iqr_threshold,
     label_events,
+    metrics_document,
     quantile,
     recall_at_k,
     report_from_json,
@@ -465,7 +466,7 @@ class TestComputeMetrics:
         labels = np.array([True, False, False])
         types = ("attr_swap", "normal", "normal")
         metrics = compute_metrics(scores, labels, types)
-        single = format_metrics_table([("run1", metrics)])
+        single = format_metrics_table(metrics_document([("run1", metrics)]))
         assert "F1" in single and "run1" in single
-        double = format_metrics_table([("run1", metrics), ("run2", metrics)])
+        double = format_metrics_table(metrics_document([("run1", metrics), ("run2", metrics)]))
         assert "mean +/- std" in double
