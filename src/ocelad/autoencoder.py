@@ -263,16 +263,19 @@ def train(graph: EncodedGraph, config: TrainConfig) -> TrainReport:
     x = graph.features
     workspace = _workspace(x, model)
     ax = spmm(graph.normalized, x)
-    for epoch in range(config.epochs):
-        cache = forward_cached(graph, model, ax, workspace)
-        value = loss(x, cache.xhat, out=workspace.scratch(x.shape[1]))
-        if not math.isfinite(value):
-            raise NonFiniteLossError(epoch, value)
-        losses.append(value)
-        grad_w0, grad_w1, grad_w2 = backward(graph, model, cache, workspace)
-        model.w0 = adam_step(model.w0, grad_w0, states["w0"], config.learning_rate)
-        model.w1 = adam_step(model.w1, grad_w1, states["w1"], config.learning_rate)
-        model.w2 = adam_step(model.w2, grad_w2, states["w2"], config.learning_rate)
+    # A diverging run overflows in the products before its loss turns
+    # non-finite; NonFiniteLossError reports it, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            cache = forward_cached(graph, model, ax, workspace)
+            value = loss(x, cache.xhat, out=workspace.scratch(x.shape[1]))
+            if not math.isfinite(value):
+                raise NonFiniteLossError(epoch, value)
+            losses.append(value)
+            grad_w0, grad_w1, grad_w2 = backward(graph, model, cache, workspace)
+            model.w0 = adam_step(model.w0, grad_w0, states["w0"], config.learning_rate)
+            model.w1 = adam_step(model.w1, grad_w1, states["w1"], config.learning_rate)
+            model.w2 = adam_step(model.w2, grad_w2, states["w2"], config.learning_rate)
     return TrainReport(losses=losses, model=model)
 
 
@@ -304,8 +307,9 @@ def run_detection(
     validate_k_factor(k_factor)
     graph = encode_log(log, scale_numeric=scale_numeric)
     report = train(graph, config)
-    _, xhat = forward(graph, report.model)
-    value = loss(graph.features, xhat)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged model raises below
+        _, xhat = forward(graph, report.model)
+        value = loss(graph.features, xhat)
     if not math.isfinite(value):
         raise NonFiniteLossError(config.epochs, value)
     scores = score_events(graph.features, xhat, graph.layout)

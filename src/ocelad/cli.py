@@ -29,8 +29,9 @@ from .injection import (
     InsufficientCandidatesError,
     inject_all,
     plan_injection,
+    validate_rate,
 )
-from .ocel import ObjectCentricLog, OcelError, _unique_keys, parse_ocel_json, write_ocel_json
+from .ocel import ObjectCentricLog, OcelError, loads_unique, parse_ocel_json, write_ocel_json
 from .scoring import (
     DetectionReport,
     MetricsBlock,
@@ -94,7 +95,7 @@ def _effective(args: argparse.Namespace) -> dict:
     """
     settings = {name: s.default for name, s in SETTINGS.items() if args.command in s.commands}
     if args.config:
-        loaded = json.loads(Path(args.config).read_text("utf-8"), object_pairs_hook=_unique_keys)
+        loaded = loads_unique(Path(args.config).read_text("utf-8"))
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config}: settings must be a JSON object")
         unknown = sorted(set(loaded) - set(SETTINGS))
@@ -229,6 +230,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     detect_seeds = [base_seed + 2 + i for i in range(settings["repeat"])]
     configs = [_train_config(settings, seed) for seed in detect_seeds]
     validate_k_factor(settings["k_factor"])
+    validate_rate(settings["rate"])
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

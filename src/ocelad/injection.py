@@ -115,6 +115,12 @@ class GroundTruth:
         return cls(labels=labels)
 
 
+def validate_rate(rate: float) -> None:
+    """Reject a contamination rate outside [0, 1), NaN included."""
+    if not 0.0 <= rate < 1.0:
+        raise InvalidRateError(f"rate must be in [0, 1), got {rate}")
+
+
 def plan_injection(n_original: int, rate: float = 0.10, seed: int = 0) -> InjectionPlan:
     """Equal per-type counts c = round(rate * n / (3 - rate)).
 
@@ -122,8 +128,7 @@ def plan_injection(n_original: int, rate: float = 0.10, seed: int = 0) -> Inject
     3c / (n + c), lands on the requested rate up to rounding. A rate of 0
     plans nothing and leaves the log untouched.
     """
-    if not 0.0 <= rate < 1.0:
-        raise InvalidRateError(f"rate must be in [0, 1), got {rate}")
+    validate_rate(rate)
     if rate > 0.0 and n_original < 30:
         raise InvalidRateError(f"need at least 30 events to inject, got {n_original}")
     count = round(rate * n_original / (3.0 - rate)) if rate > 0.0 else 0

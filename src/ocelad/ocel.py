@@ -6,28 +6,44 @@ log order: the event ids, activity codes over a sorted vocabulary, int64
 millisecond UTC timestamps, an event-to-object CSR (each event's objects
 ordered by object id), and one array per attribute (float64 with NaN for a
 missing numeric value, int64 codes into a sorted vocabulary with -1 for a
-missing categorical value). ``log.events`` rebuilds ``Event`` objects from
-the columns on demand. The reader accepts the OCEL 1.0 JSON interchange
-format (``ocel:global-log``, ``ocel:events``, ``ocel:objects``), fills the
-columns in one pass over the events, and either returns a valid log or
-raises a typed error; it never hands back a partially constructed log.
+missing categorical value). ``log.events`` is a read-only sequence view that
+builds each ``Event`` from the columns when it is read. The reader accepts
+the OCEL 1.0 JSON interchange format (``ocel:global-log``, ``ocel:events``,
+``ocel:objects``), fills each column with one comprehension over the events,
+and either returns a valid log or raises a typed error; it never hands back a
+partially constructed log.
+
+A repeated key in one JSON object is an error, yet the C decoder runs with no
+Python hook per object. Before decoding, the members of every JSON object are
+counted in the UTF-8 bytes: each ``:`` outside strings. After decoding,
+the members of the decoded objects must add up to that count; a repeated key
+keeps only its last value, and so leaves one member short. The reader counts
+the objects it reads in bulk and walks only values of an unexpected container
+type. On a short count or a decode error, the text is decoded again through
+the ``_unique_keys`` hook, which raises the typed error that a hook-checked
+decode raises. The cyclic garbage collector is paused over the decode and the
+column build: the decoded tree holds no reference cycle, so a collection
+would only rescan it.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import logging
 import math
 import sys
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from enum import Enum
 from itertools import chain, repeat
 from json.encoder import encode_basestring, encode_basestring_ascii
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import NoReturn
 
 import numpy as np
 
@@ -151,27 +167,78 @@ class ObjectCentricLog:
         return np.where(np.isnan(column), None, column.astype(object))
 
     @property
-    def events(self) -> tuple[Event, ...]:
-        """The events as ``Event`` objects, rebuilt from the columns on every access."""
-        attributes: list[dict[str, float | str]] = [{} for _ in self.ids]
-        for name in self.schema:
-            for row, value in zip(attributes, self.values(name).tolist()):
-                if value is not None:
-                    row[name] = value
-        object_ids = np.array([o.object_id for o in self.objects], dtype=object)
-        refs, bounds = object_ids[self.ref_objects].tolist(), self.ref_indptr.tolist()
-        codes, stamps = self.activity_codes.tolist(), self.timestamps.tolist()
-        return tuple(
-            Event(event_id, self.activity_vocabulary[code], stamp, frozenset(refs[a:b]), row)
-            for event_id, code, stamp, a, b, row in zip(
-                self.ids, codes, stamps, bounds, bounds[1:], attributes
-            )
-        )
+    def events(self) -> Sequence[Event]:
+        """The events as a read-only sequence, each ``Event`` built from the columns when read."""
+        return _EventView(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ObjectCentricLog):
             return NotImplemented
         return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+class _EventView(Sequence[Event]):
+    """``log.events``: as long as the log, and event i is built from row i when it is read.
+
+    Reading one event costs O(attributes) and iterating over all of them
+    O(n); a slice is a tuple of events. The view equals a tuple, or another
+    view, of equal events.
+    """
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: ObjectCentricLog) -> None:
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log.ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _EventView)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __getitem__(self, index):
+        rows = range(len(self._log.ids))
+        if isinstance(index, slice):
+            return tuple(map(self._event, rows[index]))
+        return self._event(rows[index])
+
+    def _event(self, row: int) -> Event:
+        log = self._log
+        attributes: dict[str, float | str] = {}
+        for name in log.schema:
+            value = log.columns[name][row]
+            if name in log.vocabularies:
+                if value >= 0:
+                    attributes[name] = log.vocabularies[name][value]
+            elif not math.isnan(value):
+                attributes[name] = float(value)
+        refs = log.ref_objects[log.ref_indptr[row] : log.ref_indptr[row + 1]].tolist()
+        return Event(
+            log.ids[row],
+            log.activity_vocabulary[log.activity_codes[row]],
+            int(log.timestamps[row]),
+            frozenset(log.objects[i].object_id for i in refs),
+            attributes,
+        )
+
+    def __iter__(self) -> Iterator[Event]:
+        log = self._log
+        attributes: list[dict[str, float | str]] = [{} for _ in log.ids]
+        for name in log.schema:
+            for row, value in zip(attributes, log.values(name).tolist()):
+                if value is not None:
+                    row[name] = value
+        object_ids = np.array([o.object_id for o in log.objects], dtype=object)
+        refs, bounds = object_ids[log.ref_objects].tolist(), log.ref_indptr.tolist()
+        codes, stamps = log.activity_codes.tolist(), log.timestamps.tolist()
+        return (
+            Event(event_id, log.activity_vocabulary[code], stamp, frozenset(refs[a:b]), row)
+            for event_id, code, stamp, a, b, row in zip(
+                log.ids, codes, stamps, bounds, bounds[1:], attributes
+            )
+        )
 
 
 def _same(a: object, b: object) -> bool:
@@ -367,14 +434,94 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
-def assemble_log(
-    events: list[Event] | tuple[Event, ...],
-    objects: list[ObjectEntry] | tuple[ObjectEntry, ...],
-) -> ObjectCentricLog:
+def _member_count(raw: bytes) -> int:
+    """How many members the JSON objects of the JSON text ``raw`` hold: its ``:`` outside strings.
+
+    Exact for any text that ``json.loads`` accepts. Inside a string a
+    backslash starts an escape, so dropping each escaped backslash, left to
+    right, and then each escaped quote leaves only the quotes that delimit
+    strings. A ``:`` lies outside every string iff an even number of them
+    precede it. Only the quotes and colons reach numpy, one byte each.
+    """
+    if b"\\" in raw:
+        raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
+    marks = np.frombuffer(raw.translate(None, _NOT_MARKS), dtype=np.uint8)
+    quotes = marks == ord('"')
+    inside = np.logical_xor.accumulate(quotes)
+    return int(np.count_nonzero(~(quotes | inside)))
+
+
+_NOT_MARKS = bytes(sorted(set(range(256)) - set(b'":')))
+
+
+def _members(value: object) -> int:
+    """How many members the JSON objects in a decoded value hold, at every depth.
+
+    Walks one level at a time, so that a wide document costs a few
+    comprehensions per level rather than a Python call per value.
+    """
+    total, level = 0, [value]
+    while level:
+        dicts = [item for item in level if type(item) is dict]
+        lists = [item for item in level if type(item) is list]
+        total += sum(map(len, dicts))
+        level = [*chain.from_iterable(map(dict.values, dicts)), *chain.from_iterable(lists)]
+    return total
+
+
+def _decode(text: str, parse_constant=None) -> tuple[object, int]:
+    """``json.loads(text)`` with no per-object hook, and the member count its objects must show.
+
+    A document whose decoded objects hold fewer members lost a repeated key.
+    A decode error is raised as the decode through ``_unique_keys`` raises
+    it, so that a repeated key before the error still decides it.
+    """
+    members = _member_count(text.encode("utf-8", "surrogatepass"))
+    try:
+        return json.loads(text, parse_constant=parse_constant), members
+    except (ValueError, RecursionError, OcelError) as exc:
+        error = exc
+    json.loads(text, parse_constant=parse_constant, object_pairs_hook=_unique_keys)
+    raise error
+
+
+def _check_members(text: str, counted: int, members: int, parse_constant=None) -> None:
+    """Raise ``_unique_keys``'s error unless the decoded objects hold all ``members``."""
+    if counted != members:
+        json.loads(text, parse_constant=parse_constant, object_pairs_hook=_unique_keys)
+        raise AssertionError(f"{members} members in the text, {counted} decoded, no key repeated")
+
+
+def loads_unique(text: str) -> object:
+    """``json.loads``, except that a key repeated in one JSON object raises ``DuplicateIdError``."""
+    doc, members = _decode(text)
+    _check_members(text, _members(doc), members)
+    return doc
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """The cyclic garbage collector held off, if it was on.
+
+    A decoded JSON tree and the columns built from it hold no reference
+    cycle, so a collection while they grow frees nothing and rescans them.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def assemble_log(events: Sequence[Event], objects: Sequence[ObjectEntry]) -> ObjectCentricLog:
     """Build a log from parts, deriving type/activity sets and the schema.
 
     Raises the same typed errors as the parser when the parts are inconsistent.
     """
+    events = tuple(events)
     unset = [e.event_id for e in events if None in e.attributes.values()]
     if unset:
         raise UnsupportedAttributeValueError(f"event {unset[0]!r}: an attribute value is None")
@@ -388,6 +535,10 @@ def assemble_log(
         {name: [e.attributes.get(name) for e in events] for name in names},
         objects,
     )
+
+
+def _reject_constant(token: str) -> float:
+    raise MalformedDocumentError(f"non-finite number {token!r} is not valid JSON")
 
 
 def parse_ocel_json(data: bytes | str) -> ObjectCentricLog:
@@ -406,21 +557,44 @@ def parse_ocel_json(data: bytes | str) -> ObjectCentricLog:
     else:
         text = data
 
-    def _reject_constant(token: str) -> float:
-        raise MalformedDocumentError(f"non-finite number {token!r} is not valid JSON")
+    with _gc_paused():
+        return _read_document(text)
 
+
+def _read_document(text: str) -> ObjectCentricLog:
+    """``parse_ocel_json`` of decoded text; the decoded tree is freed when it returns."""
     try:
-        doc = json.loads(
-            text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys
-        )
+        doc, members = _decode(text, _reject_constant)
     except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
         raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
+    warnings: list[tuple[object, ...]] = []
+    try:
+        counted, parts = _document_parts(doc, warnings)
+    except OcelError as exc:
+        counted, parts, error = _members(doc), None, exc
+    _check_members(text, counted, members, _reject_constant)
+    for args in warnings:
+        logger.warning(*args)
+    if parts is None:
+        raise error
+    return _build_log(*parts)
+
+
+def _document_parts(doc: object, warnings: list[tuple[object, ...]]) -> tuple[int, tuple]:
+    """How many members the JSON objects of ``doc`` hold, and the ``_build_log`` arguments.
+
+    Raises the first fault of the document, in file order; the warnings due
+    before it are appended to ``warnings``. The members of the objects this
+    reads are counted in bulk, and only values of an unexpected container
+    type are walked; after a fault, the caller walks the whole document.
+    """
     if not isinstance(doc, dict):
         raise MalformedDocumentError("top level must be a JSON object")
-
     for key in doc:
         if key not in _KNOWN_TOP_KEYS:
-            logger.warning("ignoring unknown top-level key %r", key)
+            warnings.append(("ignoring unknown top-level key %r", key))
+    others = [value for key, value in doc.items() if key not in ("ocel:events", "ocel:objects")]
+    counted = len(doc) + _members(others)
 
     global_log = doc.get("ocel:global-log", {})
     if not isinstance(global_log, dict):
@@ -435,24 +609,92 @@ def parse_ocel_json(data: bytes | str) -> ObjectCentricLog:
     objects_raw = doc.get("ocel:objects", {})
     if not isinstance(objects_raw, dict):
         raise MalformedDocumentError("'ocel:objects' must be an object")
-    objects: list[ObjectEntry] = []
-    for object_id, body in objects_raw.items():
+    object_ids, bodies = list(objects_raw), list(objects_raw.values())
+    if not _only(bodies, dict):
+        _raise_object_fault(object_ids, bodies, declared_types, warnings)
+    object_types = [body.get("ocel:type") for body in bodies]
+    if not _only(object_types, str) or "" in object_types:
+        _raise_object_fault(object_ids, bodies, declared_types, warnings)
+    undeclared = set(object_types).difference(declared_types) if declared_types else ()
+    warnings.extend(
+        ("object %r has undeclared type %r", object_id, object_type)
+        for object_id, object_type in zip(object_ids, object_types)
+        if object_type in undeclared
+    )
+    objects = list(map(ObjectEntry, object_ids, object_types))
+    counted += len(objects_raw) + sum(map(len, bodies)) + _other_members(bodies, ("ocel:type",))
+
+    events_raw = doc.get("ocel:events", {})
+    if not isinstance(events_raw, dict):
+        raise MalformedDocumentError("'ocel:events' must be an object")
+    ids, bodies = list(events_raw), list(events_raw.values())
+    if not _only(bodies, dict):
+        _raise_event_fault(ids, bodies)
+    activities = [body.get("ocel:activity") for body in bodies]
+    stamps = [body.get("ocel:timestamp") for body in bodies]
+    omaps = [body.get("ocel:omap") for body in bodies]
+    vmaps = [body.get("ocel:vmap", {}) for body in bodies]
+    if not (
+        _only(activities, str) and "" not in activities and _only(stamps, str)
+        and _only(omaps, list) and _only(vmaps, dict)
+    ):
+        _raise_event_fault(ids, bodies)
+    timestamps = list(map(parse_timestamp, stamps))  # all text, so the first bad one is the fault
+    counted += len(events_raw) + sum(map(len, bodies)) + sum(map(len, vmaps))
+    counted += _other_members(bodies, _EVENT_FIELDS)
+
+    refs = list(chain.from_iterable(omaps))
+    if not _only(refs, str):
+        event = next(i for i, omap in enumerate(omaps) if not _only(omap, str))
+        raise MalformedDocumentError(f"event {ids[event]!r}: ocel:omap entries must be strings")
+    attributes = {}
+    for name in sorted(set().union(*vmaps)):
+        if name not in declared_attrs:
+            warnings.append(("events use undeclared attribute %r", name))
+        values = [vmap.get(name) for vmap in vmaps]
+        types = set(map(type, values))
+        if bool in types:
+            values = [("true" if v else "false") if type(v) is bool else v for v in values]
+        if dict in types or list in types:
+            counted += _members(values)
+        attributes[name] = values
+    parts = (
+        ids, activities, timestamps, refs, list(map(len, omaps)), attributes, objects,
+        declared_types, declared_attrs,
+    )
+    return counted, parts
+
+
+_EVENT_FIELDS = ("ocel:activity", "ocel:timestamp", "ocel:omap", "ocel:vmap")
+
+
+def _only(values: Iterable[object], kind: type) -> bool:
+    return set(map(type, values)) <= {kind}
+
+
+def _other_members(bodies: list[dict], known: tuple[str, ...]) -> int:
+    """How many members the JSON objects held under ``bodies``' keys outside ``known`` hold."""
+    other = set().union(*bodies).difference(known)
+    return _members([body[key] for key in other for body in bodies if key in body])
+
+
+def _raise_object_fault(
+    object_ids: list[str], bodies: list[object], declared_types: list[str], warnings: list
+) -> NoReturn:
+    """Raise for the first faulty object, in file order, after the warnings due before it."""
+    for object_id, body in zip(object_ids, bodies):
         if not isinstance(body, dict):
             raise MalformedDocumentError(f"object {object_id!r} must be an object")
         object_type = body.get("ocel:type")
         if not isinstance(object_type, str) or not object_type:
             raise MissingFieldError(f"object {object_id!r}: missing ocel:type")
         if declared_types and object_type not in declared_types:
-            logger.warning(
-                "object %r has undeclared type %r", object_id, object_type
-            )
-        objects.append(ObjectEntry(object_id=object_id, object_type=object_type))
+            warnings.append(("object %r has undeclared type %r", object_id, object_type))
 
-    events_raw = doc.get("ocel:events", {})
-    if not isinstance(events_raw, dict):
-        raise MalformedDocumentError("'ocel:events' must be an object")
-    activities, timestamps, omaps, vmaps = [], [], [], []
-    for event_id, body in events_raw.items():
+
+def _raise_event_fault(ids: list[str], bodies: list[object]) -> NoReturn:
+    """Raise for the first faulty event, in file order; each event's fields in a fixed order."""
+    for event_id, body in zip(ids, bodies):
         if not isinstance(body, dict):
             raise MalformedDocumentError(f"event {event_id!r} must be an object")
         activity = body.get("ocel:activity")
@@ -461,41 +703,11 @@ def parse_ocel_json(data: bytes | str) -> ObjectCentricLog:
         ts_raw = body.get("ocel:timestamp")
         if not isinstance(ts_raw, str):
             raise MissingFieldError(f"event {event_id!r}: missing ocel:timestamp")
-        timestamps.append(parse_timestamp(ts_raw))
-        omap = body.get("ocel:omap")
-        if not isinstance(omap, list):
+        parse_timestamp(ts_raw)
+        if not isinstance(body.get("ocel:omap"), list):
             raise MissingFieldError(f"event {event_id!r}: missing ocel:omap")
-        vmap = body.get("ocel:vmap", {})
-        if not isinstance(vmap, dict):
+        if not isinstance(body.get("ocel:vmap", {}), dict):
             raise MalformedDocumentError(f"event {event_id!r}: ocel:vmap must be an object")
-        activities.append(activity)
-        omaps.append(omap)
-        vmaps.append(vmap)
-
-    ids = list(events_raw)
-    refs = list(chain.from_iterable(omaps))
-    if set(map(type, refs)) - {str}:
-        event = next(i for i, omap in enumerate(omaps) if set(map(type, omap)) - {str})
-        raise MalformedDocumentError(f"event {ids[event]!r}: ocel:omap entries must be strings")
-    attributes = {}
-    for name in sorted(set().union(*vmaps)):
-        if name not in declared_attrs:
-            logger.warning("events use undeclared attribute %r", name)
-        values = [vmap.get(name) for vmap in vmaps]
-        if bool in set(map(type, values)):
-            values = [("true" if v else "false") if type(v) is bool else v for v in values]
-        attributes[name] = values
-    return _build_log(
-        ids,
-        activities,
-        timestamps,
-        refs,
-        list(map(len, omaps)),
-        attributes,
-        objects,
-        declared_types,
-        declared_attrs,
-    )
 
 
 def write_ocel_json(log: ObjectCentricLog) -> bytes:
@@ -595,5 +807,5 @@ def csv_text(rows: Iterable[Sequence[str]]) -> str:
     plain = csv.writer(out, lineterminator="\n")
     quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     for row in rows:
-        (quoted if any("\r" in value for value in row) else plain).writerow(row)
+        (quoted if "\r" in "".join(row) else plain).writerow(row)
     return out.getvalue()

@@ -9,9 +9,9 @@ the others break score ties by event index.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -20,10 +20,10 @@ import numpy as np
 from .ocel import (
     DuplicateIdError,
     _first_duplicate,
-    _unique_keys,
     csv_text,
     json_block,
     json_value,
+    loads_unique,
 )
 
 NORMAL_LABEL = "normal"
@@ -322,7 +322,7 @@ def report_from_json(text: str) -> DetectionReport:
 
     A document that is not a report raises ``ValueError``.
     """
-    doc = json.loads(text, object_pairs_hook=_unique_keys)
+    doc = loads_unique(text)
     try:
         events = doc["events"]
         event_ids = tuple(entry["event_id"] for entry in events)
@@ -338,8 +338,10 @@ def report_from_json(text: str) -> DetectionReport:
 
 def report_to_csv(report: DetectionReport) -> str:
     """CSV serialization: event id, score and label."""
-    rows = [["event_id", "score", "label"]]
-    for index, event_id in enumerate(report.event_ids):
-        label = "anomalous" if report.labels[index] else NORMAL_LABEL
-        rows.append([event_id, repr(float(report.scores[index])), label])
-    return csv_text(rows)
+    scores = np.asarray(report.scores, dtype=np.float64).tolist()
+    labels = np.asarray(report.labels).tolist()
+    rows = (
+        (event_id, repr(score), "anomalous" if anomalous else NORMAL_LABEL)
+        for event_id, score, anomalous in zip(report.event_ids, scores, labels)
+    )
+    return csv_text(chain([("event_id", "score", "label")], rows))

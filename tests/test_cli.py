@@ -190,15 +190,21 @@ class TestDetect:
         code = run(self.detect_args(small_log_path, tmp_path / "r.json"))
         assert code == 4
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_final_reconstruction_exit_code(self, tmp_path, small_log_path, capsys):
+    def test_non_finite_final_reconstruction_exit_code(self, tmp_path, small_log_path):
         # The one epoch's loss is checked before its update; the update
-        # itself blows the weights up, so only the final model shows it.
+        # itself blows the weights up, so only the final model shows it. In a
+        # child process, so that stderr is what a user sees: the typed error
+        # and no numpy RuntimeWarning.
         out = tmp_path / "r.json"
-        args = ["detect", "-i", str(small_log_path), "-o", str(out), "--epochs", "1",
-                "--lr", "1e300"]
-        assert run(args) == 4
-        assert "not finite at epoch 1" in capsys.readouterr().err
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "ocelad.cli", "detect", "-i", str(small_log_path),
+             "-o", str(out), "--epochs", "1", "--lr", "1e300"],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 4
+        assert done.stderr.splitlines() == ["error: loss is not finite at epoch 1: inf"]
         assert not out.exists() and not out.with_suffix(".csv").exists()
 
     def test_repeated_config_key_is_config_error(
@@ -377,6 +383,13 @@ class TestPipeline:
         out_dir = tmp_path / "run"
         assert run(["pipeline", "-o", str(out_dir), "--orders", "30", flag, value]) == 2
         assert name in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("rate", ["nan", "2"])
+    def test_invalid_rate_exits_before_any_work(self, tmp_path, capsys, rate):
+        out_dir = tmp_path / "run"
+        assert run(["pipeline", "-o", str(out_dir), "--orders", "10", "--rate", rate]) == 2
+        assert "rate must be in [0, 1)" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_config_integer_beyond_float_range_is_config_error(self, tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
 """Parser, writer, and assembly checks for the log model."""
 
+import gc
 import json
 import logging
 import math
 from dataclasses import replace
+from itertools import chain
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -11,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ocelad.ocel as ocel
 from ocelad.ocel import (
+    _KNOWN_TOP_KEYS,
     AttributeKind,
     DanglingObjectRefError,
     DuplicateIdError,
@@ -21,11 +25,17 @@ from ocelad.ocel import (
     MalformedDocumentError,
     MissingFieldError,
     ObjectCentricLog,
+    OcelError,
     ObjectEntry,
     UnsupportedAttributeValueError,
+    _build_log,
+    _member_count,
+    _unique_keys,
     assemble_log,
     format_timestamps,
     json_value,
+    loads_unique,
+    logger,
     parse_ocel_json,
     parse_timestamp,
     write_ocel_json,
@@ -64,6 +74,134 @@ def reference_document(log):
             o.object_id: {"ocel:type": o.object_type, "ocel:ovmap": {}} for o in log.objects
         },
     }
+
+
+# The parser before the hook-free decode, kept verbatim as the oracle of the
+# current one: the same log, or the same exception type and message.
+def reference_parse_ocel_json(data):
+    """Parse an OCEL 1.0 JSON document into a validated log.
+
+    Events retain file order. The attribute schema is inferred from the
+    global attribute declarations and the observed values; a JSON null means
+    the attribute is absent, and true/false are the categorical values
+    "true"/"false". Every failure is one of the typed ``OcelError`` subclasses.
+    """
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedDocumentError("input is not UTF-8 text") from exc
+    else:
+        text = data
+
+    def _reject_constant(token: str) -> float:
+        raise MalformedDocumentError(f"non-finite number {token!r} is not valid JSON")
+
+    try:
+        doc = json.loads(
+            text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys
+        )
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
+        raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedDocumentError("top level must be a JSON object")
+
+    for key in doc:
+        if key not in _KNOWN_TOP_KEYS:
+            logger.warning("ignoring unknown top-level key %r", key)
+
+    global_log = doc.get("ocel:global-log", {})
+    if not isinstance(global_log, dict):
+        raise MalformedDocumentError("'ocel:global-log' must be an object")
+    keys = ("ocel:object-types", "ocel:attribute-names")
+    declared = {key: global_log.get(key, []) for key in keys}
+    for key, names in declared.items():
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise MalformedDocumentError(f"{key!r} must be a list of strings")
+    declared_types, declared_attrs = declared.values()
+
+    objects_raw = doc.get("ocel:objects", {})
+    if not isinstance(objects_raw, dict):
+        raise MalformedDocumentError("'ocel:objects' must be an object")
+    objects: list[ObjectEntry] = []
+    for object_id, body in objects_raw.items():
+        if not isinstance(body, dict):
+            raise MalformedDocumentError(f"object {object_id!r} must be an object")
+        object_type = body.get("ocel:type")
+        if not isinstance(object_type, str) or not object_type:
+            raise MissingFieldError(f"object {object_id!r}: missing ocel:type")
+        if declared_types and object_type not in declared_types:
+            logger.warning(
+                "object %r has undeclared type %r", object_id, object_type
+            )
+        objects.append(ObjectEntry(object_id=object_id, object_type=object_type))
+
+    events_raw = doc.get("ocel:events", {})
+    if not isinstance(events_raw, dict):
+        raise MalformedDocumentError("'ocel:events' must be an object")
+    activities, timestamps, omaps, vmaps = [], [], [], []
+    for event_id, body in events_raw.items():
+        if not isinstance(body, dict):
+            raise MalformedDocumentError(f"event {event_id!r} must be an object")
+        activity = body.get("ocel:activity")
+        if not isinstance(activity, str) or not activity:
+            raise MissingFieldError(f"event {event_id!r}: missing ocel:activity")
+        ts_raw = body.get("ocel:timestamp")
+        if not isinstance(ts_raw, str):
+            raise MissingFieldError(f"event {event_id!r}: missing ocel:timestamp")
+        timestamps.append(parse_timestamp(ts_raw))
+        omap = body.get("ocel:omap")
+        if not isinstance(omap, list):
+            raise MissingFieldError(f"event {event_id!r}: missing ocel:omap")
+        vmap = body.get("ocel:vmap", {})
+        if not isinstance(vmap, dict):
+            raise MalformedDocumentError(f"event {event_id!r}: ocel:vmap must be an object")
+        activities.append(activity)
+        omaps.append(omap)
+        vmaps.append(vmap)
+
+    ids = list(events_raw)
+    refs = list(chain.from_iterable(omaps))
+    if set(map(type, refs)) - {str}:
+        event = next(i for i, omap in enumerate(omaps) if set(map(type, omap)) - {str})
+        raise MalformedDocumentError(f"event {ids[event]!r}: ocel:omap entries must be strings")
+    attributes = {}
+    for name in sorted(set().union(*vmaps)):
+        if name not in declared_attrs:
+            logger.warning("events use undeclared attribute %r", name)
+        values = [vmap.get(name) for vmap in vmaps]
+        if bool in set(map(type, values)):
+            values = [("true" if v else "false") if type(v) is bool else v for v in values]
+        attributes[name] = values
+    return _build_log(
+        ids,
+        activities,
+        timestamps,
+        refs,
+        list(map(len, omaps)),
+        attributes,
+        objects,
+        declared_types,
+        declared_attrs,
+    )
+
+
+def reference_events(log):
+    """``log.events`` as the tuple the columnar log first rebuilt on every access."""
+    attributes = [{} for _ in log.ids]
+    for name in log.schema:
+        for row, value in zip(attributes, log.values(name).tolist()):
+            if value is not None:
+                row[name] = value
+    object_ids = np.array([o.object_id for o in log.objects], dtype=object)
+    refs, bounds = object_ids[log.ref_objects].tolist(), log.ref_indptr.tolist()
+    codes, stamps = log.activity_codes.tolist(), log.timestamps.tolist()
+    return tuple(
+        Event(event_id, log.activity_vocabulary[code], stamp, frozenset(refs[a:b]), row)
+        for event_id, code, stamp, a, b, row in zip(
+            log.ids, codes, stamps, bounds, bounds[1:], attributes
+        )
+    )
 
 
 log_texts = st.text(
@@ -448,7 +586,7 @@ class TestValidate:
 
     def test_duplicate_event_id(self, golden_log):
         with pytest.raises(DuplicateIdError):
-            assemble_log(golden_log.events + (golden_log.events[0],), golden_log.objects)
+            assemble_log((*golden_log.events, golden_log.events[0]), golden_log.objects)
 
     def test_mixed_kind_diagnostic(self):
         events = (
@@ -586,3 +724,317 @@ class TestAssemble:
         assert log.events[0].attributes["x"] == 3.0
         assert isinstance(log.events[0].attributes["x"], float)
         assert log.schema["x"] is AttributeKind.NUMERIC
+
+
+class Members(list):
+    """A JSON object as its list of (key, value) members, so that a key can repeat."""
+
+
+def render(node, layout):
+    """JSON text of a tree of ``Members``, lists and scalars; ``layout`` is (item, member) separators."""
+    item, member = layout
+    if isinstance(node, Members):
+        return "{" + item.join(
+            f"{json.dumps(key, ensure_ascii=False)}{member}{render(value, layout)}"
+            for key, value in node
+        ) + "}"
+    if isinstance(node, list):
+        return "[" + item.join(render(value, layout) for value in node) + "]"
+    return json.dumps(node, ensure_ascii=False)
+
+
+json_layouts = st.sampled_from([(",", ":"), (", ", ": "), (",\n  ", " :\n")])
+# Backslash runs of every length, quotes and colons next to them, NUL and
+# characters outside the BMP.
+awkward_keys = st.lists(
+    st.sampled_from([":", '"', "\\", "\\\\", "\\\"", "\x00", "\n", "é", "\U0001f600", "{", "a"]),
+    max_size=5,
+).map("".join)
+json_trees = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(10**20), 10**20),
+        st.floats(allow_nan=False, allow_infinity=False),
+        awkward_keys,
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(st.tuples(st.one_of(awkward_keys, st.sampled_from(["k", "j"])), children),
+                 max_size=4).map(Members),
+    ),
+    max_leaves=16,
+)
+
+
+def hook_member_count(text):
+    """Members of every JSON object, repeated keys included, as the decoder hands them over."""
+    sizes = []
+    json.loads(text, object_pairs_hook=lambda pairs: sizes.append(len(pairs)) or dict(pairs))
+    return sum(sizes)
+
+
+def hook_outcome(text):
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, DuplicateIdError) as error:
+        return type(error), str(error)
+
+
+class TestMemberCount:
+    @settings(deadline=None, max_examples=200)
+    @given(json_trees, json_layouts)
+    @example(Members([("a:b", "c\\\\"), ("\\\"", [Members([(":", ":")])])]), (",", ":"))
+    @example(["\\", "\"\\\\\"", ":"], (",", ":"))
+    @example("a:b", (",", ":"))
+    @example([":", Members([("k", ":")])], (", ", ": "))
+    def test_equals_the_hooks_member_count(self, tree, layout):
+        for text in (render(tree, layout), json.dumps(json.loads(render(tree, layout)))):
+            assert _member_count(text.encode("utf-8")) == hook_member_count(text)
+
+    @settings(deadline=None, max_examples=100)
+    @given(json_trees, json_layouts)
+    def test_loads_unique_matches_the_hook(self, tree, layout):
+        text = render(tree, layout)
+        try:
+            result = loads_unique(text)
+        except (ValueError, DuplicateIdError) as error:
+            result = type(error), str(error)
+        assert result == hook_outcome(text)
+
+    def test_lone_surrogate_in_text(self):
+        assert loads_unique('{"\ud800": 1}') == {"\ud800": 1}
+        with pytest.raises(DuplicateIdError, match="appears twice"):
+            loads_unique('{"\ud800": 1, "\ud800": 2}')
+
+
+MISSING = object()
+
+
+def body(*members):
+    """An object node of the members whose value is not ``MISSING``."""
+    return Members((key, value) for key, value in members if value is not MISSING)
+
+
+small_containers = st.one_of(
+    st.lists(st.integers(0, 2), max_size=2),
+    st.lists(st.tuples(st.sampled_from(["k", "j"]), st.integers(0, 2)), max_size=2).map(Members),
+)
+attribute_values = st.one_of(
+    st.sampled_from([None, True, 2, 1.5, -0.0, "a", "b", ":", 1e308]), small_containers,
+    st.just(math.nan),  # rendered as the NaN literal
+)
+
+
+@st.composite
+def ocel_documents(draw):
+    """OCEL documents as ``Members`` trees, maybe faulty, maybe with one key repeated.
+
+    The repeat lands at one of eight levels: the top level, the global log,
+    the objects, the first object, its ovmap, the events, the first event or
+    its vmap. The repeated value may differ from the first.
+    """
+    faulty = draw(st.booleans())
+
+    def pick(valid, invalid=()):
+        """A valid choice, or in a faulty document now and then an invalid one."""
+        broken = faulty and invalid and draw(st.sampled_from([False] * 7 + [True]))
+        return draw(st.sampled_from(list(invalid if broken else valid)))
+
+    object_ids = draw(st.lists(st.sampled_from(["o1", "o2", "o3"]), max_size=3, unique=True))
+    objects = Members(
+        (object_id, body(
+            ("ocel:type", pick(["A", "B"], ["", 3, MISSING])),
+            ("ocel:ovmap", draw(st.one_of(st.just(Members()), small_containers))),
+        ))
+        for object_id in object_ids
+    )
+    events = Members()
+    for event_id in draw(st.lists(st.sampled_from(["e1", "e2", "e3"]), max_size=3, unique=True)):
+        omap = draw(st.lists(st.sampled_from(object_ids), min_size=1, max_size=2, unique=True)) \
+            if object_ids else ["o1"]
+        names = draw(st.lists(st.sampled_from(["x", "y"]), max_size=2, unique=True))
+        valid = {"x": [1.5, 2, -0.0, None], "y": ["a", ":", True, None]}
+        vmap = Members(
+            (name, draw(attribute_values) if pick([False], [True]) else pick(valid[name]))
+            for name in names
+        )
+        events.append((event_id, body(
+            ("ocel:activity", pick(["a", "b"], ["", 5, MISSING])),
+            ("ocel:timestamp", pick(["2023-01-01T00:00:00Z", "2023-01-01T01:00:00.5+01:00"],
+                                    ["bad", 7, "0001-01-01T00:30:00+01:00", MISSING])),
+            ("ocel:omap", pick([omap], [[], ["zz"], [1], [omap[0], omap[0]], "o1", MISSING])),
+            ("ocel:vmap", pick([vmap, MISSING], ["v", None])),
+            ("extra", draw(st.one_of(st.just(MISSING), small_containers))),
+        )))
+    global_log = body(
+        ("ocel:object-types", pick([["A"], ["A", "B"], []], ["A", [1], MISSING])),
+        ("ocel:attribute-names", pick([["x"], ["x", "y"]], [{"x": 1}, MISSING])),
+    )
+    top = body(
+        ("ocel:global-log", pick([global_log], [[], global_log])),
+        ("ocel:events", pick([events], [[events]])),
+        ("ocel:objects", pick([objects], ["o", MISSING])),
+        ("ocel:version", pick([MISSING, "1.0"], [Members([("k", [Members([("j", 1)])])])])),
+        ("surprise", pick([MISSING], [Members([("k", 1)])])),
+    )
+    levels = [top, global_log, objects, objects[0][1] if objects else None]
+    levels.append(dict(objects[0][1]).get("ocel:ovmap") if objects else None)
+    levels.append(events)
+    levels.append(events[0][1] if events else None)
+    levels.append(dict(events[0][1]).get("ocel:vmap") if events else None)
+    level = draw(st.one_of(st.none(), st.integers(0, 7)))
+    node = levels[level] if level is not None else None
+    if isinstance(node, Members):
+        key = node[0][0] if node else "k"
+        node.extend([(key, draw(attribute_values))] * (1 if node else 2))
+    text = render(top, draw(json_layouts))
+    if draw(st.sampled_from([False] * 3 + [True])):
+        text = text[: draw(st.integers(0, len(text)))] + draw(st.sampled_from(["", "}", ",]"]))
+    return text
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def outcome(parse, text):
+    """What ``parse`` makes of ``text``: the log or the error's type and message; the warnings."""
+    handler = _Messages()
+    logger.addHandler(handler)
+    try:
+        result = parse(text)
+    except Exception as error:  # compared with whatever the oracle raises
+        result = type(error), str(error)
+    finally:
+        logger.removeHandler(handler)
+    return result, handler.messages
+
+
+class TestHookFreeParse:
+    @settings(deadline=None, max_examples=300)
+    @given(ocel_documents())
+    def test_matches_the_hook_checked_parser(self, text):
+        assert outcome(parse_ocel_json, text) == outcome(reference_parse_ocel_json, text)
+
+    def test_matches_on_a_benchmark_log(self):
+        from ocelad.generator import benchmark_config, generate
+        from ocelad.injection import inject_all, plan_injection
+
+        clean = generate(benchmark_config(n_orders=40, seed=11))
+        log, _ = inject_all(clean, plan_injection(len(clean.ids), 0.1, 12))
+        data = write_ocel_json(log)
+        assert parse_ocel_json(data) == reference_parse_ocel_json(data) == log
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"ocel:events": {"e1": {"a": 1, "a": 2}}, "x": NaN}', DuplicateIdError),
+            ('{"a": 1, "a": 2, "b": NaN}', MalformedDocumentError),
+            ('{"x": {"k": 1, "k": 1}, "y": [}', DuplicateIdError),
+            (
+                '{"ocel:objects": {"o1": {"ocel:type": "A", "x": {"k": [{"j": 1, "j": 2}]}}}}',
+                DuplicateIdError,
+            ),
+        ],
+    )
+    def test_first_error_in_decode_order(self, text, error):
+        with pytest.raises(error):
+            parse_ocel_json(text)
+        assert outcome(parse_ocel_json, text) == outcome(reference_parse_ocel_json, text)
+
+    @pytest.mark.parametrize(
+        "where",
+        ["vmap value", "vmap list", "event key", "ovmap", "object key", "top key", "global-log"],
+    )
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_objects_where_none_is_expected(self, where, repeat):
+        # Their members count too: without a repeated key the document is
+        # read as before, with one it is rejected.
+        nested = '{"k": 1, "k": 2}' if repeat else '{"k": 1, "j": {"i": [2]}}'
+        event = (
+            '{"ocel:activity": "a", "ocel:timestamp": "2023-01-01T00:00:00Z", "ocel:omap": ["o1"]'
+        )
+        vmap = {"vmap value": nested, "vmap list": f"[{nested}]"}.get(where, "1.5")
+        text = (
+            '{"ocel:global-log": {"ocel:attribute-names": ["x"]'
+            + (f', "g": {nested}' if where == "global-log" else "") + "}, "
+            + '"ocel:events": {"e1": ' + event + f', "ocel:vmap": {{"x": {vmap}}}'
+            + (f', "extra": {nested}' if where == "event key" else "") + "}}, "
+            + '"ocel:objects": {"o1": {"ocel:type": "A", "ocel:ovmap": '
+            + (nested if where == "ovmap" else "{}")
+            + (f', "extra": [{nested}]' if where == "object key" else "") + "}}"
+            + (f', "surprise": {nested}' if where == "top key" else "") + "}"
+        )
+        assert outcome(parse_ocel_json, text) == outcome(reference_parse_ocel_json, text)
+        if repeat:
+            with pytest.raises(DuplicateIdError):
+                parse_ocel_json(text)
+
+    def test_hook_runs_only_on_rejected_input(self, monkeypatch):
+        calls = []
+        hook = _unique_keys
+        monkeypatch.setattr(ocel, "_unique_keys", lambda pairs: calls.append(pairs) or hook(pairs))
+        parse_ocel_json(golden_log_bytes())
+        assert calls == []
+        with pytest.raises(DuplicateIdError):
+            parse_ocel_json('{"ocel:objects": {"o1": {"ocel:type": "A"}, "o1": {}}}')
+        assert calls
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("data", [golden_log_bytes(), b'{"a": 1, "a": 2}', b"{"])
+    def test_collector_state_unchanged(self, enabled, data):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                parse_ocel_json(data)
+            except OcelError:
+                pass
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_collector_paused_over_the_decode_and_the_columns(self, monkeypatch):
+        states = []
+        build = ocel._build_log
+        monkeypatch.setattr(
+            ocel, "_build_log", lambda *args: states.append(gc.isenabled()) or build(*args)
+        )
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            parse_ocel_json(golden_log_bytes())
+            assert states == [False] and gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+
+
+class TestEventView:
+    def test_len_builds_no_event(self, golden_log, monkeypatch):
+        monkeypatch.setattr(ocel, "Event", lambda *args: pytest.fail("built an Event"))
+        assert len(golden_log.events) == 8
+
+    @settings(deadline=None)
+    @given(logs(), st.data())
+    def test_matches_the_rebuilt_tuple(self, log, data):
+        events, expected = log.events, reference_events(log)
+        assert tuple(events) == expected and events == expected
+        assert [events[i] for i in range(len(expected))] == list(expected)
+        n = len(expected)
+        if n:
+            i = data.draw(st.integers(-n, n - 1))
+            assert events[i] == expected[i]
+        bounds = st.one_of(st.none(), st.integers(-n - 2, n + 2))
+        steps = st.sampled_from([None, 1, 2, -1, -3])
+        window = slice(data.draw(bounds), data.draw(bounds), data.draw(steps))
+        assert events[window] == expected[window]
+        with pytest.raises(IndexError):
+            events[n]
+        with pytest.raises(IndexError):
+            events[-n - 1]
