@@ -19,7 +19,8 @@ counted in the UTF-8 bytes: each ``:`` outside strings. After decoding,
 the members of the decoded objects must add up to that count; a repeated key
 keeps only its last value, and so leaves one member short. The reader counts
 the objects it reads in bulk and walks only values of an unexpected container
-type. On a short count or a decode error, the text is decoded again through
+type: a walk of the whole decoded tree would cost a fifth of the parse. On a
+short count or a decode error, the text is decoded again through
 the ``_unique_keys`` hook, which raises the typed error that a hook-checked
 decode raises. The cyclic garbage collector is paused over the decode and the
 column build: the decoded tree holds no reference cycle, so a collection
@@ -50,6 +51,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_NAIVE_EPOCH = datetime(1970, 1, 1)  # a time without a timezone is UTC
 # First and last millisecond that ``datetime`` can represent.
 _MIN_MILLIS = -62_135_596_800_000
 _MAX_MILLIS = 253_402_300_799_999
@@ -224,21 +226,7 @@ class _EventView(Sequence[Event]):
         )
 
     def __iter__(self) -> Iterator[Event]:
-        log = self._log
-        attributes: list[dict[str, float | str]] = [{} for _ in log.ids]
-        for name in log.schema:
-            for row, value in zip(attributes, log.values(name).tolist()):
-                if value is not None:
-                    row[name] = value
-        object_ids = np.array([o.object_id for o in log.objects], dtype=object)
-        refs, bounds = object_ids[log.ref_objects].tolist(), log.ref_indptr.tolist()
-        codes, stamps = log.activity_codes.tolist(), log.timestamps.tolist()
-        return (
-            Event(event_id, log.activity_vocabulary[code], stamp, frozenset(refs[a:b]), row)
-            for event_id, code, stamp, a, b, row in zip(
-                log.ids, codes, stamps, bounds, bounds[1:], attributes
-            )
-        )
+        return map(self._event, range(len(self)))
 
 
 def _same(a: object, b: object) -> bool:
@@ -257,20 +245,27 @@ def parse_timestamp(text: str) -> int:
     Sub-millisecond precision is truncated. A time outside the years 1 to
     9999 in UTC, which the writer could not write, is an error.
     """
-    normalized = text.strip()
-    if normalized.endswith(("Z", "z")):
-        normalized = normalized[:-1] + "+00:00"
+    return parse_timestamps([text])[0]
+
+
+def parse_timestamps(texts: Sequence[str]) -> list[int]:
+    """``parse_timestamp`` of each text, one pass per step; the first invalid text raises."""
+    normalized = [text.strip() for text in texts]
+    normalized = [t[:-1] + "+00:00" if t.endswith(("Z", "z")) else t for t in normalized]
     try:
-        dt = datetime.fromisoformat(normalized)
+        moments, error = list(map(datetime.fromisoformat, normalized)), None
     except ValueError as exc:
-        raise InvalidTimestampError(f"not an ISO-8601 timestamp: {text!r}") from exc
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    delta = dt - _EPOCH
-    millis = delta.days * 86_400_000 + delta.seconds * 1000 + delta.microseconds // 1000
-    if not _MIN_MILLIS <= millis <= _MAX_MILLIS:
-        raise InvalidTimestampError(f"timestamp outside the years 1 to 9999 in UTC: {text!r}")
-    return millis
+        moments, error = [], exc
+    deltas = [m - (_NAIVE_EPOCH if m.tzinfo is None else _EPOCH) for m in moments]
+    millis = [d.days * 86_400_000 + d.seconds * 1000 + d.microseconds // 1000 for d in deltas]
+    if error is None and (not millis or _MIN_MILLIS <= min(millis) and max(millis) <= _MAX_MILLIS):
+        return millis
+    if len(texts) > 1:
+        for text in texts:
+            parse_timestamps([text])
+    if error is not None:
+        raise InvalidTimestampError(f"not an ISO-8601 timestamp: {texts[0]!r}") from error
+    raise InvalidTimestampError(f"timestamp outside the years 1 to 9999 in UTC: {texts[0]!r}")
 
 
 def format_timestamps(millis: Sequence[int] | np.ndarray) -> list[str]:
@@ -469,14 +464,15 @@ def _members(value: object) -> int:
     return total
 
 
-def _decode(text: str, parse_constant=None) -> tuple[object, int]:
+def _decode(text: str, raw: bytes | None = None, parse_constant=None) -> tuple[object, int]:
     """``json.loads(text)`` with no per-object hook, and the member count its objects must show.
 
-    A document whose decoded objects hold fewer members lost a repeated key.
-    A decode error is raised as the decode through ``_unique_keys`` raises
-    it, so that a repeated key before the error still decides it.
+    ``raw`` is the UTF-8 text that ``text`` was decoded from, if there was
+    one. A document whose decoded objects hold fewer members lost a repeated
+    key. A decode error is raised as the decode through ``_unique_keys``
+    raises it, so that a repeated key before the error still decides it.
     """
-    members = _member_count(text.encode("utf-8", "surrogatepass"))
+    members = _member_count(text.encode("utf-8", "surrogatepass") if raw is None else raw)
     try:
         return json.loads(text, parse_constant=parse_constant), members
     except (ValueError, RecursionError, OcelError) as exc:
@@ -548,23 +544,28 @@ def parse_ocel_json(data: bytes | str) -> ObjectCentricLog:
     global attribute declarations and the observed values; a JSON null means
     the attribute is absent, and true/false are the categorical values
     "true"/"false". Every failure is one of the typed ``OcelError`` subclasses.
+
+    The cyclic garbage collector is switched off for the whole process while
+    the parse runs, if it was on, and switched on again when the parse
+    returns or raises. A thread that enables or disables the collector during
+    a parse may find its setting undone when the parse ends.
     """
     if isinstance(data, bytes):
         try:
-            text = data.decode("utf-8")
+            text, raw = data.decode("utf-8"), data
         except UnicodeDecodeError as exc:
             raise MalformedDocumentError("input is not UTF-8 text") from exc
     else:
-        text = data
+        text, raw = data, None
 
     with _gc_paused():
-        return _read_document(text)
+        return _read_document(text, raw)
 
 
-def _read_document(text: str) -> ObjectCentricLog:
+def _read_document(text: str, raw: bytes | None) -> ObjectCentricLog:
     """``parse_ocel_json`` of decoded text; the decoded tree is freed when it returns."""
     try:
-        doc, members = _decode(text, _reject_constant)
+        doc, members = _decode(text, raw, _reject_constant)
     except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
         raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
     warnings: list[tuple[object, ...]] = []
@@ -639,7 +640,7 @@ def _document_parts(doc: object, warnings: list[tuple[object, ...]]) -> tuple[in
         and _only(omaps, list) and _only(vmaps, dict)
     ):
         _raise_event_fault(ids, bodies)
-    timestamps = list(map(parse_timestamp, stamps))  # all text, so the first bad one is the fault
+    timestamps = parse_timestamps(stamps)  # all text, so the first bad one is the fault
     counted += len(events_raw) + sum(map(len, bodies)) + sum(map(len, vmaps))
     counted += _other_members(bodies, _EVENT_FIELDS)
 
@@ -722,11 +723,7 @@ def write_ocel_json(log: ObjectCentricLog) -> bytes:
     refs = object_ids[log.ref_objects].tolist()
     bounds = log.ref_indptr.tolist()
     activities = [quote(a) for a in log.activity_vocabulary]
-    members = [
-        [None if value is None else f"{quote(name)}: {json_value(value, False, '        ')}"
-         for value in log.values(name).tolist()]
-        for name in log.schema
-    ]
+    members = [_vmap_members(log, name) for name in log.schema]
     rows = zip(*members) if members else repeat(())
     events = [
         f"{quote(event_id)}: {{\n"
@@ -766,6 +763,16 @@ def write_ocel_json(log: ObjectCentricLog) -> bytes:
     return text.encode("utf-8")
 
 
+def _vmap_members(log: ObjectCentricLog, name: str) -> list[str | None]:
+    """Each event's ``"name": value`` member of its vmap, None where the event has no value."""
+    key = encode_basestring(name)
+    if name in log.vocabularies:
+        # Code -1, a missing value, picks the None at the end.
+        texts = [f"{key}: {encode_basestring(v)}" for v in log.vocabularies[name]] + [None]
+        return [texts[code] for code in log.columns[name].tolist()]
+    return [None if v != v else f"{key}: {v!r}" for v in log.columns[name].tolist()]
+
+
 def json_block(members: list[str], indent: str, brackets: str) -> str:
     """A JSON array or object of rendered members, laid out as ``json.dumps(indent=2)``.
 
@@ -774,8 +781,8 @@ def json_block(members: list[str], indent: str, brackets: str) -> str:
     """
     if not members:
         return brackets
-    inner = ",\n".join(f"{indent}  {member}" for member in members)
-    return f"{brackets[0]}\n{inner}\n{indent}{brackets[1]}"
+    inner = indent + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(members) + f"\n{indent}{brackets[1]}"
 
 
 def json_value(value: object, ensure_ascii: bool, indent: str) -> str:

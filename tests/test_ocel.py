@@ -38,6 +38,7 @@ from ocelad.ocel import (
     logger,
     parse_ocel_json,
     parse_timestamp,
+    parse_timestamps,
     write_ocel_json,
 )
 
@@ -52,6 +53,24 @@ def reference_format_timestamp(millis):
     """Timestamp formatting through ``datetime``, one value at a time."""
     epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
     return (epoch + timedelta(milliseconds=int(millis))).isoformat(timespec="milliseconds")
+
+
+def reference_parse_timestamp(text):
+    """One timestamp parsed through ``datetime``, as the reader once parsed each."""
+    normalized = text.strip()
+    if normalized.endswith(("Z", "z")):
+        normalized = normalized[:-1] + "+00:00"
+    try:
+        dt = datetime.fromisoformat(normalized)
+    except ValueError as exc:
+        raise InvalidTimestampError(f"not an ISO-8601 timestamp: {text!r}") from exc
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    delta = dt - datetime(1970, 1, 1, tzinfo=timezone.utc)
+    millis = delta.days * 86_400_000 + delta.seconds * 1000 + delta.microseconds // 1000
+    if not FIRST_MILLIS <= millis <= LAST_MILLIS:
+        raise InvalidTimestampError(f"timestamp outside the years 1 to 9999 in UTC: {text!r}")
+    return millis
 
 
 def reference_document(log):
@@ -149,7 +168,7 @@ def reference_parse_ocel_json(data):
         ts_raw = body.get("ocel:timestamp")
         if not isinstance(ts_raw, str):
             raise MissingFieldError(f"event {event_id!r}: missing ocel:timestamp")
-        timestamps.append(parse_timestamp(ts_raw))
+        timestamps.append(reference_parse_timestamp(ts_raw))
         omap = body.get("ocel:omap")
         if not isinstance(omap, list):
             raise MissingFieldError(f"event {event_id!r}: missing ocel:omap")
@@ -216,6 +235,20 @@ log_floats = st.one_of(
 log_timestamps = st.one_of(
     st.integers(FIRST_MILLIS, LAST_MILLIS),
     st.sampled_from([FIRST_MILLIS, LAST_MILLIS, -1, 0, 1]),
+)
+
+
+timestamp_texts = st.one_of(
+    st.builds(
+        lambda millis, cut, offset, suffix, pad: pad + reference_format_timestamp(millis)[:cut]
+        + (offset if 13 <= cut < 29 else "") + suffix + pad,
+        log_timestamps,
+        st.sampled_from([10, 13, 16, 19, 23, 29]),
+        st.sampled_from(["", "+00:00", "+01:00", "-01:00", "+23:59", "Z"]),
+        st.sampled_from(["", "Z", "z", "x"]),
+        st.sampled_from(["", " ", "\t", "\u3000"]),
+    ),
+    st.text(st.sampled_from("0123456789-:T.+Zz "), max_size=30),
 )
 
 
@@ -510,6 +543,20 @@ class TestTimestamps:
         # writer could not write the log back.
         with pytest.raises(InvalidTimestampError):
             parse_timestamp(text)
+
+    @given(st.lists(timestamp_texts, max_size=8))
+    @example(["1970-01-01T00:00:00Z", "0001-01-01T00:30:00+01:00", "x"])
+    @example(["1970-01-01T00:00:00Z", "x", "0001-01-01T00:30:00+01:00"])
+    @example([" 2023-01-01T10z ", "2023-01-01T10Z", "2023-01-01", "2023-01-01Z"])
+    def test_batch_parse_matches_one_at_a_time(self, texts):
+        try:
+            expected = [reference_parse_timestamp(text) for text in texts]
+        except InvalidTimestampError as exc:
+            with pytest.raises(InvalidTimestampError) as raised:
+                parse_timestamps(texts)
+            assert str(raised.value) == str(exc)
+        else:
+            assert parse_timestamps(texts) == expected
 
     @given(st.lists(log_timestamps, max_size=20))
     @example([FIRST_MILLIS, LAST_MILLIS, -1, -999, -1000, -1001, 0])
