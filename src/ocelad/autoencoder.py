@@ -24,8 +24,17 @@ scores average the squared reconstruction error within each feature group
 first and across groups second, so wide one-hot blocks do not drown out
 single numeric columns.
 
+Training runs in single precision with double-precision master weights
+(the mixed-precision scheme of Micikevicius et al., ICLR 2018): ``train``
+builds a float32 twin of N and X once, copies the float64 weights into three
+float32 buffers before each epoch, and hands the float32 gradients to Adam,
+which updates the float64 weights and moments. The float32 epoch moves half
+the bytes of a float64 one. The other functions keep their operands'
+precision, so the final reconstruction, the scores and the threshold of
+``run_detection`` are float64.
+
 Training reuses one ``Workspace``, sized before the first epoch: H0's buffer
-and one flat scratch of n * max(h1, h2, k) doubles, which holds each
+and one flat scratch of n * max(h1, h2, k) floats, which holds each
 short-lived product in turn (H0 * W1, Z * W2, the squared error, and the
 upstream gradients of Xhat, Z and H0). ReLU runs in place on H0's buffer and
 on the fresh arrays that the sparse products return, and the backward pass
@@ -38,14 +47,15 @@ with freshly allocated temporaries: ``out=`` never changes the arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoding import EncodedGraph, FeatureLayout, encode_log
+from .encoding import EncodedGraph, FeatureLayout, SparseAdjacency, encode_log
 from .numerics import (
     AdamState,
     DimensionMismatchError,
+    _operand,
     adam_step,
     glorot_init,
     make_rng,
@@ -106,11 +116,12 @@ class Workspace:
 
     ``h0`` holds the first layer's activation and, after the backward pass,
     its masked gradient. The flat scratch is viewed through ``scratch``.
+    Both hold floats of ``dtype``, the features' precision.
     """
 
-    def __init__(self, n: int, k: int, hidden1: int, hidden2: int) -> None:
-        self.h0 = np.empty((n, hidden1))
-        self._flat = np.empty(n * max(hidden1, hidden2, k))
+    def __init__(self, n: int, k: int, hidden1: int, hidden2: int, dtype: np.dtype) -> None:
+        self.h0 = np.empty((n, hidden1), dtype)
+        self._flat = np.empty(n * max(hidden1, hidden2, k), dtype)
 
     def scratch(self, width: int) -> np.ndarray:
         """The scratch as a C-ordered n x ``width`` matrix."""
@@ -121,7 +132,7 @@ class Workspace:
 
 
 def _workspace(x: np.ndarray, model: GcnaeModel) -> Workspace:
-    return Workspace(x.shape[0], x.shape[1], model.w0.shape[1], model.w1.shape[1])
+    return Workspace(x.shape[0], x.shape[1], model.w0.shape[1], model.w1.shape[1], x.dtype)
 
 
 @dataclass
@@ -194,14 +205,18 @@ def forward(graph: EncodedGraph, model: GcnaeModel) -> tuple[np.ndarray, np.ndar
 def loss(x: np.ndarray, xhat: np.ndarray, out: np.ndarray | None = None) -> float:
     """Average row-wise mean squared error between input and reconstruction.
 
-    ``out``, when given, is an x-shaped float64 buffer for the squared error.
+    Computed in the operands' precision, as the numerics kernels are: float32
+    for float32 operands, float64 otherwise. ``out``, when given, is an
+    x-shaped buffer of that dtype for the squared error.
     """
-    x = np.asarray(x, dtype=np.float64)
-    xhat = np.asarray(xhat, dtype=np.float64)
+    x, xhat = _operand(x), _operand(xhat)
     if x.shape != xhat.shape:
         raise DimensionMismatchError(f"shape {x.shape} does not match {xhat.shape}")
-    if out is not None and (out.shape != x.shape or out.dtype != np.float64):
-        raise DimensionMismatchError(f"out buffer {out.shape} does not match {x.shape}")
+    dtype = np.result_type(x, xhat)
+    if out is not None and (out.shape != x.shape or out.dtype != dtype):
+        raise DimensionMismatchError(
+            f"out buffer {out.shape} {out.dtype} does not match {x.shape} {dtype}"
+        )
     diff = np.subtract(x, xhat, out=out)
     # Overflow to inf is the signal the training loop turns into
     # NonFiniteLossError; no point warning about it here.
@@ -251,28 +266,56 @@ def backward(
     return grad_w0, grad_w1, grad_w2
 
 
+def _float32_twin(graph: EncodedGraph) -> EncodedGraph:
+    """``graph`` with its features and normalized adjacency rounded to float32.
+
+    A value beyond float32's range becomes an infinity, which the training
+    loop reports as a non-finite loss.
+    """
+    norm = graph.normalized
+    weights = np.ones(norm.nnz) if norm.weights is None else norm.weights
+    with np.errstate(over="ignore"):
+        return replace(
+            graph,
+            normalized=SparseAdjacency(
+                norm.n, norm.indptr, norm.indices, weights.astype(np.float32)
+            ),
+            features=graph.features.astype(np.float32),
+        )
+
+
 def train(graph: EncodedGraph, config: TrainConfig) -> TrainReport:
     """Full-batch Adam training for the configured number of epochs.
 
-    Deterministic given the config seed. Aborts with ``NonFiniteLossError``
-    if the loss leaves the finite range.
+    Every epoch runs in float32 on a float32 copy of the graph and of the
+    weights; the returned model holds the float64 master weights that Adam
+    updates. Deterministic given the config seed. Aborts with
+    ``NonFiniteLossError`` if the loss leaves float32's finite range.
     """
     model = init_model(graph.features.shape[1], config)
     states = {name: AdamState() for name in ("w0", "w1", "w2")}
     losses: list[float] = []
+    graph = _float32_twin(graph)
     x = graph.features
-    workspace = _workspace(x, model)
+    weights = GcnaeModel(
+        *(np.empty(w.shape, np.float32) for w in (model.w0, model.w1, model.w2))
+    )
+    workspace = _workspace(x, weights)
     ax = spmm(graph.normalized, x)
-    # A diverging run overflows in the products before its loss turns
-    # non-finite; NonFiniteLossError reports it, so numpy need not warn.
+    # A diverging run overflows in the products (and in the weight casts)
+    # before its loss turns non-finite; NonFiniteLossError reports it, so
+    # numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            cache = forward_cached(graph, model, ax, workspace)
+            np.copyto(weights.w0, model.w0)
+            np.copyto(weights.w1, model.w1)
+            np.copyto(weights.w2, model.w2)
+            cache = forward_cached(graph, weights, ax, workspace)
             value = loss(x, cache.xhat, out=workspace.scratch(x.shape[1]))
             if not math.isfinite(value):
                 raise NonFiniteLossError(epoch, value)
             losses.append(value)
-            grad_w0, grad_w1, grad_w2 = backward(graph, model, cache, workspace)
+            grad_w0, grad_w1, grad_w2 = backward(graph, weights, cache, workspace)
             model.w0 = adam_step(model.w0, grad_w0, states["w0"], config.learning_rate)
             model.w1 = adam_step(model.w1, grad_w1, states["w1"], config.learning_rate)
             model.w2 = adam_step(model.w2, grad_w2, states["w2"], config.learning_rate)

@@ -489,8 +489,14 @@ def _check_members(text: str, counted: int, members: int, parse_constant=None) -
 
 
 def loads_unique(text: str) -> object:
-    """``json.loads``, except that a key repeated in one JSON object raises ``DuplicateIdError``."""
-    doc, members = _decode(text)
+    """``json.loads``, except that a key repeated in one JSON object raises ``DuplicateIdError``.
+
+    A document nested too deeply for the decoder raises ``ValueError``.
+    """
+    try:
+        doc, members = _decode(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply to decode") from exc
     _check_members(text, _members(doc), members)
     return doc
 
@@ -568,6 +574,8 @@ def _read_document(text: str, raw: bytes | None) -> ObjectCentricLog:
         doc, members = _decode(text, raw, _reject_constant)
     except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
         raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedDocumentError("invalid JSON: nested too deeply to decode") from exc
     warnings: list[tuple[object, ...]] = []
     try:
         counted, parts = _document_parts(doc, warnings)

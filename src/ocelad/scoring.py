@@ -9,6 +9,7 @@ the others break score ties by event index.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -293,7 +294,8 @@ def report_to_json(report: DetectionReport) -> str:
 
     The text is ``json.dumps(doc, indent=2)`` of the report document, laid
     out here directly: the stdlib encoder runs in pure Python whenever
-    ``indent`` is set.
+    ``indent`` is set. A finite score is written as ``float.__repr__``
+    writes it, which is what ``json.dumps`` does.
     """
     quote = encode_basestring_ascii
     events = []
@@ -303,10 +305,11 @@ def report_to_json(report: DetectionReport) -> str:
         np.asarray(report.labels).tolist(),
     ):
         label = "anomalous" if anomalous else NORMAL_LABEL
+        text = float.__repr__(score) if math.isfinite(score) else json.dumps(score)
         events.append(
             "{\n"
             f'      "event_id": {quote(event_id)},\n'
-            f'      "score": {json_value(score, True, "      ")},\n'
+            f'      "score": {text},\n'
             f'      "label": "{label}"\n'
             "    }"
         )

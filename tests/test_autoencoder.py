@@ -1,6 +1,7 @@
 """Forward pass, analytic gradients, training loop, and anomaly scoring."""
 
 import math
+import resource
 
 import numpy as np
 import pytest
@@ -54,23 +55,32 @@ def single_node_graph(x: float) -> EncodedGraph:
     )
 
 
-def reference_train(graph: EncodedGraph, config: TrainConfig) -> TrainReport:
-    """The training loop before the workspace: every epoch allocates its temporaries.
+def reference_train(
+    graph: EncodedGraph, config: TrainConfig, dtype: type = np.float32
+) -> TrainReport:
+    """The training loop in plain numpy, every epoch allocating its temporaries.
 
-    Kept as the byte-identity oracle for ``train``; it spells out the old
-    kernels (``a @ b``, ``np.maximum`` and ``np.where``) inline.
+    Kept as the byte-identity oracle for ``train``: it rounds the features
+    and the normalized adjacency to ``dtype`` once, casts the float64 master
+    weights to ``dtype`` every epoch, spells out the kernels (``a @ b``,
+    ``np.maximum`` and ``np.where``) inline and updates the master weights
+    with the float64 ``adam_step``. With ``dtype=np.float64`` it is the loop
+    before single precision, kept as a second oracle.
     """
-    x = graph.features
+    with np.errstate(over="ignore"):
+        x = graph.features.astype(dtype)
+        csr = graph.normalized.csr.astype(dtype)
     n, k = x.shape
-    csr = graph.normalized.csr
     model = init_model(k, config)
     states = {name: AdamState() for name in ("w0", "w1", "w2")}
     losses = []
     ax = csr @ x
     for epoch in range(config.epochs):
-        h0 = np.maximum(ax @ model.w0, 0.0)
-        z = np.maximum(csr @ (h0 @ model.w1), 0.0)
-        xhat = np.maximum(csr @ (z @ model.w2), 0.0)
+        with np.errstate(over="ignore"):
+            w0, w1, w2 = (w.astype(dtype) for w in (model.w0, model.w1, model.w2))
+        h0 = np.maximum(ax @ w0, 0.0)
+        z = np.maximum(csr @ (h0 @ w1), 0.0)
+        xhat = np.maximum(csr @ (z @ w2), 0.0)
         diff = x - xhat
         with np.errstate(over="ignore"):
             value = float(np.mean(diff * diff))
@@ -80,10 +90,10 @@ def reference_train(graph: EncodedGraph, config: TrainConfig) -> TrainReport:
         d_xhat = (2.0 / (n * k)) * (xhat - x)
         n_d_h2 = csr @ np.where(xhat > 0.0, d_xhat, 0.0)
         grad_w2 = z.T @ n_d_h2
-        d_z = n_d_h2 @ model.w2.T
+        d_z = n_d_h2 @ w2.T
         n_d_h1 = csr @ np.where(z > 0.0, d_z, 0.0)
         grad_w1 = h0.T @ n_d_h1
-        d_h0 = n_d_h1 @ model.w1.T
+        d_h0 = n_d_h1 @ w1.T
         grad_w0 = ax.T @ np.where(h0 > 0.0, d_h0, 0.0)
         model.w0 = adam_step(model.w0, grad_w0, states["w0"], config.learning_rate)
         model.w1 = adam_step(model.w1, grad_w1, states["w1"], config.learning_rate)
@@ -102,6 +112,7 @@ def training_outcome(trainer, graph: EncodedGraph, config: TrainConfig) -> tuple
     return ("report", np.array(report.losses).tobytes(), *(w.tobytes() for w in weights))
 
 
+@pytest.fixture(scope="module")
 def detect_2k_graph() -> EncodedGraph:
     """The benchmark's detect-2k log at its seed 11 (generate 11, inject 12), encoded."""
     clean = ocelad.generate(ocelad.benchmark_config(n_orders=320, seed=11))
@@ -185,6 +196,17 @@ class TestLoss:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             loss(np.zeros((2, 2)), np.zeros((2, 3)))
+
+    def test_single_precision(self):
+        rng = make_rng(6)
+        x = rng.standard_normal((9, 4)).astype(np.float32)
+        xhat = rng.standard_normal((9, 4)).astype(np.float32)
+        diff = x - xhat
+        assert loss(x, xhat) == float(np.mean(diff * diff))
+        assert loss(x, xhat, out=np.empty((9, 4), np.float32)) == loss(x, xhat)
+        with pytest.raises(DimensionMismatchError):
+            loss(x, xhat, out=np.empty((9, 4)))
+        assert loss(x, xhat.astype(np.float64)) == loss(x.astype(np.float64), xhat)
 
     def test_out_buffer_gives_same_value(self):
         rng = make_rng(5)
@@ -289,13 +311,38 @@ class TestTrain:
             reference_train, graph, config
         )
 
-    def test_detect_2k_graph_same_bytes_as_reference(self):
-        graph = detect_2k_graph()
+    def test_detect_2k_graph_same_bytes_as_reference(self, detect_2k_graph):
+        graph = detect_2k_graph
         assert graph.features.shape[0] == 1986
         config = TrainConfig(epochs=50, seed=100)
         outcome = training_outcome(train, graph, config)
         assert outcome[0] == "report"
         assert outcome == training_outcome(reference_train, graph, config)
+
+    def test_detect_2k_graph_losses_near_float64_loop(self, detect_2k_graph):
+        # Single precision follows the float64 loop closely at first; later
+        # the curves drift apart, as float64 runs at different BLAS thread
+        # counts already do.
+        graph = detect_2k_graph
+        config = TrainConfig(epochs=50, seed=100)
+        single = np.array(train(graph, config).losses)
+        double = np.array(reference_train(graph, config, np.float64).losses)
+        assert float(np.max(np.abs(single - double) / double)) < 1e-6
+
+    def test_detect_2k_epochs_take_no_page_faults(self, detect_2k_graph):
+        # Epochs 200-400 of one run: the faults of a 400-epoch run less
+        # those of a 200-epoch run. An epoch that hands its buffers back to
+        # the kernel and faults them in again takes hundreds of faults.
+        graph = detect_2k_graph
+        train(graph, TrainConfig(epochs=5, seed=100))
+
+        def faults(epochs: int) -> int:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            train(graph, TrainConfig(epochs=epochs, seed=100))
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        per_epoch = (faults(400) - faults(200)) / 200
+        assert per_epoch < 10
 
     def test_non_finite_loss_at_reference_epoch(self):
         # A huge step sends the weights past float range after the first

@@ -218,6 +218,24 @@ class TestDetect:
         assert run(args) == 2
         assert "'epochs' appears twice" in capsys.readouterr().err
 
+    def test_deeply_nested_log_exit_code(self, tmp_path, capsys):
+        log_path = tmp_path / "deep.jsonocel"
+        log_path.write_text("[" * 100_000)
+        assert run(self.detect_args(log_path, tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nested too deeply" in err
+        assert err.count("\n") == 1
+
+    def test_deeply_nested_config_exit_code(self, tmp_path, small_log_path, capsys):
+        config = tmp_path / "settings.json"
+        config.write_text('{"epochs": ' * 100_000)
+        args = ["detect", "-i", str(small_log_path), "-o", str(tmp_path / "r.json"),
+                "--config", str(config)]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nested too deeply" in err
+        assert err.count("\n") == 1
+
 
 def write_perfect_run(tmp_path):
     """Report + truth where the two anomalies separate cleanly from eight normals."""
@@ -292,6 +310,15 @@ class TestEvaluate:
         code = run(["evaluate", "--report", str(report_path), "--truth", str(truth_path)])
         assert code == 2
         assert "not a detection report" in capsys.readouterr().err
+
+    def test_deeply_nested_report_exit_code(self, tmp_path, capsys):
+        report_path, truth_path = write_perfect_run(tmp_path)
+        report_path.write_text("[" * 100_000)
+        code = run(["evaluate", "--report", str(report_path), "--truth", str(truth_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nested too deeply" in err
+        assert err.count("\n") == 1
 
     def test_truth_without_anomaly_exit_code(self, tmp_path, capsys):
         # AUC-ROC is undefined without an anomalous event.

@@ -75,28 +75,39 @@ SPECIAL_FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
 )
 
+# The same cases in single precision.
+SPECIAL_FLOATS32 = st.one_of(
+    st.sampled_from(
+        [np.nan, -np.nan, np.float32(np.int32(0x7F800001).view(np.float32)),
+         np.inf, -np.inf, 0.0, -0.0, 1e-45, -1e-45, 1.2e-38, -1e-40]
+    ),
+    st.floats(width=32, allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+SPECIAL = {np.float64: SPECIAL_FLOATS, np.float32: SPECIAL_FLOATS32}
+
 
 @st.composite
-def maybe_transposed(draw, rows, cols, elements):
-    """A rows x cols float64 matrix, C-ordered or the transposed view of one."""
+def maybe_transposed(draw, rows, cols, elements, dtype=np.float64):
+    """A rows x cols matrix of ``dtype``, C-ordered or the transposed view of one."""
     if draw(st.booleans()):
-        return draw(arrays(np.float64, (cols, rows), elements=elements)).T
-    return draw(arrays(np.float64, (rows, cols), elements=elements))
+        return draw(arrays(dtype, (cols, rows), elements=elements)).T
+    return draw(arrays(dtype, (rows, cols), elements=elements))
 
 
 @st.composite
-def relu_operands(draw):
+def relu_operands(draw, dtype=np.float64):
     rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
-    upstream = draw(maybe_transposed(rows, cols, SPECIAL_FLOATS))
-    activation = draw(maybe_transposed(rows, cols, SPECIAL_FLOATS))
+    upstream = draw(maybe_transposed(rows, cols, SPECIAL[dtype], dtype))
+    activation = draw(maybe_transposed(rows, cols, SPECIAL[dtype], dtype))
     return upstream, activation
 
 
 @st.composite
-def matmul_operands(draw):
+def matmul_operands(draw, dtype=np.float64):
     rows, inner, cols = (draw(st.integers(1, 12)) for _ in range(3))
-    a = draw(maybe_transposed(rows, inner, SPECIAL_FLOATS))
-    b = draw(maybe_transposed(inner, cols, SPECIAL_FLOATS))
+    a = draw(maybe_transposed(rows, inner, SPECIAL[dtype], dtype))
+    b = draw(maybe_transposed(inner, cols, SPECIAL[dtype], dtype))
     return a, b
 
 
@@ -278,6 +289,105 @@ class TestRelu:
         own = activation.copy()
         relu_backward(upstream, own, out=own)
         assert own.tobytes() == expected
+
+
+def single(sparse: SparseAdjacency) -> SparseAdjacency:
+    """``sparse`` with float32 weights, 1 where it has none."""
+    weights = np.ones(sparse.nnz) if sparse.weights is None else sparse.weights
+    return SparseAdjacency(sparse.n, sparse.indptr, sparse.indices, weights.astype(np.float32))
+
+
+class TestSinglePrecision:
+    """float32 operands give float32 results with the bytes of plain numpy."""
+
+    @settings(deadline=None)
+    @given(matmul_operands(np.float32))
+    def test_matmul_property(self, operands):
+        a, b = operands
+        with np.errstate(all="ignore"):
+            expected = a @ b
+            result = matmul(a, b)
+            buffer = np.full(expected.shape, 7.0, dtype=np.float32)
+            assert matmul(a, b, out=buffer) is buffer
+        assert result.dtype == np.float32
+        assert result.tobytes() == expected.tobytes() == buffer.tobytes()
+
+    @settings(deadline=None)
+    @given(sparse_and_dense())
+    def test_spmm_property(self, operands):
+        sparse, dense = operands
+        dense = dense.astype(np.float32)
+        result = spmm(single(sparse), dense)
+        assert result.dtype == np.float32
+        assert result.tobytes() == (sparse.csr.astype(np.float32) @ dense).tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(relu_operands(np.float32))
+    def test_relu_property(self, operands):
+        values, _ = operands
+        expected = np.maximum(values, 0.0)
+        assert expected.dtype == np.float32
+        assert relu(values).tobytes() == expected.tobytes()
+        own = values.copy()
+        assert relu(own, out=own) is own
+        assert own.tobytes() == expected.tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(relu_operands(np.float32))
+    def test_relu_backward_property(self, operands):
+        upstream, activation = operands
+        expected = np.where(activation > 0, upstream, 0)
+        assert expected.dtype == np.float32
+        result = relu_backward(upstream, activation)
+        assert result.dtype == np.float32
+        assert result.tobytes() == expected.tobytes()
+        own = activation.copy()
+        assert relu_backward(upstream, own, out=own) is own
+        assert own.tobytes() == expected.tobytes()
+
+    def test_relu_backward_special_values(self):
+        upstream = np.array([[np.nan, np.inf, -np.inf, -0.0, 1.5, 2.5]], dtype=np.float32)
+        activation = np.array([[1.0, 2.0, 3.0, 4.0, np.nan, -0.0]], dtype=np.float32)
+        result = relu_backward(upstream, activation)
+        assert result.tobytes() == np.where(activation > 0, upstream, 0).tobytes()
+        assert np.signbit(result[0, 3]) and not np.signbit(result[0, 4])
+
+    def test_mixed_operands_promote_to_float64(self):
+        rng = make_rng(3)
+        a = rng.standard_normal((5, 4)).astype(np.float32)
+        b = rng.standard_normal((4, 3))
+        assert matmul(a, b).dtype == np.float64
+        assert matmul(a, b).tobytes() == (a.astype(np.float64) @ b).tobytes()
+        assert matmul(b.T, a.T).tobytes() == (b.T @ a.T.astype(np.float64)).tobytes()
+        sparse = random_sparse(rng, 5, weighted=True)
+        assert spmm(single(sparse), rng.standard_normal((5, 2))).dtype == np.float64
+        assert spmm(sparse, a).dtype == np.float64
+        gradient = relu_backward(a, rng.standard_normal((5, 4)))
+        assert gradient.dtype == np.float64
+        assert relu_backward(a.astype(np.float64), a).dtype == np.float64
+
+    def test_other_inputs_become_float64(self):
+        assert matmul([[1, 2]], np.ones((2, 1), dtype=np.int32)).dtype == np.float64
+        assert relu(np.array([[-1, 2]])).dtype == np.float64
+        assert relu_backward([[1, 2]], np.ones((1, 2), dtype=np.float16)).dtype == np.float64
+        sparse = random_sparse(make_rng(4), 3, weighted=False)
+        assert spmm(single(sparse), np.ones((3, 2), dtype=np.float16)).dtype == np.float64
+
+    def test_out_of_the_other_dtype_rejected(self):
+        a32, a64 = np.ones((2, 3), np.float32), np.ones((2, 3))
+        b32 = np.ones((3, 4), np.float32)
+        with pytest.raises(DimensionMismatchError):
+            matmul(a32, b32, out=np.empty((2, 4)))
+        with pytest.raises(DimensionMismatchError):
+            matmul(a64, b32, out=np.empty((2, 4), np.float32))
+        with pytest.raises(DimensionMismatchError):
+            relu(a32, out=np.empty((2, 3)))
+        with pytest.raises(DimensionMismatchError):
+            relu(a64, out=np.empty((2, 3), np.float32))
+        with pytest.raises(DimensionMismatchError):
+            relu_backward(a32, a32, out=np.empty((2, 3)))
+        with pytest.raises(DimensionMismatchError):
+            relu_backward(a32, a64, out=np.empty((2, 3), np.float32))
 
 
 class TestGlorot:

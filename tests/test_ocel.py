@@ -346,6 +346,13 @@ class TestParse:
         with pytest.raises(MalformedDocumentError):
             parse_ocel_json(b"this is not json")
 
+    @pytest.mark.parametrize("opening", ["[", '{"a": '], ids=["lists", "objects"])
+    def test_nested_too_deeply(self, opening):
+        with pytest.raises(MalformedDocumentError, match="nested too deeply"):
+            parse_ocel_json(opening * 100_000)
+        with pytest.raises(MalformedDocumentError, match="nested too deeply"):
+            parse_ocel_json((opening * 100_000).encode("utf-8"))
+
     def test_not_utf8(self):
         with pytest.raises(MalformedDocumentError):
             parse_ocel_json(b"\xff\xfe\x00bad")
@@ -848,6 +855,11 @@ class TestMemberCount:
         except (ValueError, DuplicateIdError) as error:
             result = type(error), str(error)
         assert result == hook_outcome(text)
+
+    def test_loads_unique_nested_too_deeply(self):
+        with pytest.raises(ValueError, match="nested too deeply") as excinfo:
+            loads_unique("[" * 100_000)
+        assert not isinstance(excinfo.value, DuplicateIdError)
 
     def test_lone_surrogate_in_text(self):
         assert loads_unique('{"\ud800": 1}') == {"\ud800": 1}
