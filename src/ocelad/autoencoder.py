@@ -55,6 +55,7 @@ from .encoding import EncodedGraph, FeatureLayout, SparseAdjacency, encode_log
 from .numerics import (
     AdamState,
     DimensionMismatchError,
+    _check_out,
     _operand,
     adam_step,
     glorot_init,
@@ -101,6 +102,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -212,11 +215,8 @@ def loss(x: np.ndarray, xhat: np.ndarray, out: np.ndarray | None = None) -> floa
     x, xhat = _operand(x), _operand(xhat)
     if x.shape != xhat.shape:
         raise DimensionMismatchError(f"shape {x.shape} does not match {xhat.shape}")
-    dtype = np.result_type(x, xhat)
-    if out is not None and (out.shape != x.shape or out.dtype != dtype):
-        raise DimensionMismatchError(
-            f"out buffer {out.shape} {out.dtype} does not match {x.shape} {dtype}"
-        )
+    if out is not None:
+        _check_out(out, x.shape, np.result_type(x, xhat))
     diff = np.subtract(x, xhat, out=out)
     # Overflow to inf is the signal the training loop turns into
     # NonFiniteLossError; no point warning about it here.
@@ -344,10 +344,13 @@ def run_detection(
 ) -> DetectionReport:
     """Encode ``log``, train, score every event and label it against the IQR threshold.
 
-    A bad ``k_factor`` is rejected before any work starts. ``train`` checks
-    the loss before each update only, so the final model's is checked here.
+    A bad ``k_factor`` or an empty log is rejected before any work starts.
+    ``train`` checks the loss before each update only, so the final model's
+    is checked here.
     """
     validate_k_factor(k_factor)
+    if not log.ids:
+        raise ValueError("cannot run detection on an empty log")
     graph = encode_log(log, scale_numeric=scale_numeric)
     report = train(graph, config)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged model raises below

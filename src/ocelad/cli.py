@@ -114,17 +114,20 @@ def _effective(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _generate_into(path: Path, settings: dict) -> ObjectCentricLog:
-    """The generated log, also written to ``path``."""
-    log = generate(
-        GenConfig(
-            n_orders=settings["orders"],
-            items_per_order=(settings["items_min"], settings["items_max"]),
-            orders_per_package=(settings["group_min"], settings["group_max"]),
-            seed=settings["seed"],
-            mean_step_minutes=settings["mean_step_minutes"],
-        )
+def _gen_config(settings: dict) -> GenConfig:
+    """The generator settings; built before any work, so a bad one stops the command early."""
+    return GenConfig(
+        n_orders=settings["orders"],
+        items_per_order=(settings["items_min"], settings["items_max"]),
+        orders_per_package=(settings["group_min"], settings["group_max"]),
+        seed=settings["seed"],
+        mean_step_minutes=settings["mean_step_minutes"],
     )
+
+
+def _generate_into(path: Path, config: GenConfig) -> ObjectCentricLog:
+    """The generated log, also written to ``path``."""
+    log = generate(config)
     path.write_bytes(write_ocel_json(log))
     return log
 
@@ -162,7 +165,7 @@ def _detect_into(
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    log = _generate_into(Path(args.output), _effective(args))
+    log = _generate_into(Path(args.output), _gen_config(_effective(args)))
     print(f"wrote {len(log.ids)} events to {args.output}")
     return 0
 
@@ -186,8 +189,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     settings = _effective(args)
     config = _train_config(settings, settings["seed"])
     log = parse_ocel_json(Path(args.input).read_bytes())
-    if not log.ids:
-        raise ValueError("cannot run detection on an empty log")
     report = _detect_into(Path(args.output), log, config, settings)
     n_anomalous = int(report.labels.sum())
     print(
@@ -229,13 +230,14 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         raise ValueError("repeat must be >= 1")
     detect_seeds = [base_seed + 2 + i for i in range(settings["repeat"])]
     configs = [_train_config(settings, seed) for seed in detect_seeds]
+    gen_config = _gen_config(settings)
     validate_k_factor(settings["k_factor"])
     validate_rate(settings["rate"])
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     clean_path = out_dir / "clean.jsonocel"
-    clean = _generate_into(clean_path, settings)
+    clean = _generate_into(clean_path, gen_config)
 
     inject_seed = base_seed + 1
     contaminated_path = out_dir / "contaminated.jsonocel"

@@ -48,6 +48,8 @@ class GenConfig:
                 raise ValueError("ranges must be non-empty with low >= 1")
         if not (math.isfinite(self.mean_step_minutes) and self.mean_step_minutes > 0):
             raise ValueError("mean_step_minutes must be finite and positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate(config: GenConfig) -> ObjectCentricLog:

@@ -129,6 +129,8 @@ def plan_injection(n_original: int, rate: float = 0.10, seed: int = 0) -> Inject
     plans nothing and leaves the log untouched.
     """
     validate_rate(rate)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if rate > 0.0 and n_original < 30:
         raise InvalidRateError(f"need at least 30 events to inject, got {n_original}")
     count = round(rate * n_original / (3.0 - rate)) if rate > 0.0 else 0

@@ -13,18 +13,19 @@ the OCEL 1.0 JSON interchange format (``ocel:global-log``, ``ocel:events``,
 and either returns a valid log or raises a typed error; it never hands back a
 partially constructed log.
 
-A repeated key in one JSON object is an error, yet the C decoder runs with no
+A repeated key in one JSON object is an error. ``loads_unique`` is the one
+strict decoder: it hands every JSON object to the ``_unique_keys`` hook. The
+reader puts a pre-check in front of it, so that a valid log decodes with no
 Python hook per object. Before decoding, the members of every JSON object are
-counted in the UTF-8 bytes: each ``:`` outside strings. After decoding,
-the members of the decoded objects must add up to that count; a repeated key
-keeps only its last value, and so leaves one member short. The reader counts
-the objects it reads in bulk and walks only values of an unexpected container
-type: a walk of the whole decoded tree would cost a fifth of the parse. On a
-short count or a decode error, the text is decoded again through
-the ``_unique_keys`` hook, which raises the typed error that a hook-checked
-decode raises. The cyclic garbage collector is paused over the decode and the
-column build: the decoded tree holds no reference cycle, so a collection
-would only rescan it.
+counted in the UTF-8 bytes: each ``:`` outside strings. The text is decoded
+without a hook, and while the columns are extracted the members of the
+decoded objects are added up, in bulk, walking only values of an unexpected
+container type; a repeated key keeps only its last value, and so leaves one
+member short. On a decode error, an extraction fault or a short count, the
+text goes through ``loads_unique``, whose repeated-key or decode error takes
+precedence over the reader's own fault. The cyclic garbage collector is
+paused over the decode and the column build: the decoded tree holds no
+reference cycle, so a collection would only rescan it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from enum import Enum
 from itertools import chain, repeat
-from json.encoder import encode_basestring, encode_basestring_ascii
+from json.encoder import encode_basestring
 from typing import NoReturn
 
 import numpy as np
@@ -464,43 +465,6 @@ def _members(value: object) -> int:
     return total
 
 
-def _decode(text: str, raw: bytes | None = None, parse_constant=None) -> tuple[object, int]:
-    """``json.loads(text)`` with no per-object hook, and the member count its objects must show.
-
-    ``raw`` is the UTF-8 text that ``text`` was decoded from, if there was
-    one. A document whose decoded objects hold fewer members lost a repeated
-    key. A decode error is raised as the decode through ``_unique_keys``
-    raises it, so that a repeated key before the error still decides it.
-    """
-    members = _member_count(text.encode("utf-8", "surrogatepass") if raw is None else raw)
-    try:
-        return json.loads(text, parse_constant=parse_constant), members
-    except (ValueError, RecursionError, OcelError) as exc:
-        error = exc
-    json.loads(text, parse_constant=parse_constant, object_pairs_hook=_unique_keys)
-    raise error
-
-
-def _check_members(text: str, counted: int, members: int, parse_constant=None) -> None:
-    """Raise ``_unique_keys``'s error unless the decoded objects hold all ``members``."""
-    if counted != members:
-        json.loads(text, parse_constant=parse_constant, object_pairs_hook=_unique_keys)
-        raise AssertionError(f"{members} members in the text, {counted} decoded, no key repeated")
-
-
-def loads_unique(text: str) -> object:
-    """``json.loads``, except that a key repeated in one JSON object raises ``DuplicateIdError``.
-
-    A document nested too deeply for the decoder raises ``ValueError``.
-    """
-    try:
-        doc, members = _decode(text)
-    except RecursionError as exc:
-        raise ValueError("JSON nested too deeply to decode") from exc
-    _check_members(text, _members(doc), members)
-    return doc
-
-
 @contextmanager
 def _gc_paused() -> Iterator[None]:
     """The cyclic garbage collector held off, if it was on.
@@ -516,6 +480,21 @@ def _gc_paused() -> Iterator[None]:
         yield
     finally:
         gc.enable()
+
+
+def loads_unique(text: str, parse_constant=None) -> object:
+    """``json.loads``, except that a key repeated in one JSON object raises ``DuplicateIdError``.
+
+    Every JSON object goes through the ``_unique_keys`` hook, with the cyclic
+    garbage collector paused over the decode; ``parse_constant`` is passed on
+    to ``json.loads``. A document nested too deeply for the decoder raises
+    ``ValueError``.
+    """
+    try:
+        with _gc_paused():
+            return json.loads(text, parse_constant=parse_constant, object_pairs_hook=_unique_keys)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply to decode") from exc
 
 
 def assemble_log(events: Sequence[Event], objects: Sequence[ObjectEntry]) -> ObjectCentricLog:
@@ -570,18 +549,23 @@ def parse_ocel_json(data: bytes | str) -> ObjectCentricLog:
 
 def _read_document(text: str, raw: bytes | None) -> ObjectCentricLog:
     """``parse_ocel_json`` of decoded text; the decoded tree is freed when it returns."""
-    try:
-        doc, members = _decode(text, raw, _reject_constant)
-    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
-        raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise MalformedDocumentError("invalid JSON: nested too deeply to decode") from exc
+    members = _member_count(text.encode("utf-8", "surrogatepass") if raw is None else raw)
     warnings: list[tuple[object, ...]] = []
     try:
+        doc = json.loads(text, parse_constant=_reject_constant)
         counted, parts = _document_parts(doc, warnings)
-    except OcelError as exc:
-        counted, parts, error = _members(doc), None, exc
-    _check_members(text, counted, members, _reject_constant)
+    except (ValueError, RecursionError, OcelError) as exc:
+        # ValueError: a JSONDecodeError, or an integer of over 4,300 digits.
+        counted, parts, error = None, None, exc
+    if counted != members:
+        try:
+            loads_unique(text, _reject_constant)
+        except ValueError as exc:
+            raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
+        if parts is not None:
+            raise AssertionError(
+                f"{members} members in the text, {counted} decoded, no key repeated"
+            )
     for args in warnings:
         logger.warning(*args)
     if parts is None:
@@ -595,7 +579,7 @@ def _document_parts(doc: object, warnings: list[tuple[object, ...]]) -> tuple[in
     Raises the first fault of the document, in file order; the warnings due
     before it are appended to ``warnings``. The members of the objects this
     reads are counted in bulk, and only values of an unexpected container
-    type are walked; after a fault, the caller walks the whole document.
+    type are walked.
     """
     if not isinstance(doc, dict):
         raise MalformedDocumentError("top level must be a JSON object")
@@ -791,24 +775,6 @@ def json_block(members: list[str], indent: str, brackets: str) -> str:
         return brackets
     inner = indent + "  "
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(members) + f"\n{indent}{brackets[1]}"
-
-
-def json_value(value: object, ensure_ascii: bool, indent: str) -> str:
-    """A JSON value as ``json.dumps(indent=2)`` writes it at a line indented by ``indent``."""
-    quote = encode_basestring_ascii if ensure_ascii else encode_basestring
-    if isinstance(value, str):
-        return quote(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        members = [
-            f"{quote(key)}: {json_value(item, ensure_ascii, inner)}" for key, item in value.items()
-        ]
-        return json_block(members, indent, "{}")
-    if isinstance(value, (list, tuple)):
-        return json_block([json_value(item, ensure_ascii, inner) for item in value], indent, "[]")
-    return json.dumps(value)
 
 
 def csv_text(rows: Iterable[Sequence[str]]) -> str:

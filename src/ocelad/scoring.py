@@ -23,11 +23,11 @@ from .ocel import (
     _first_duplicate,
     csv_text,
     json_block,
-    json_value,
     loads_unique,
 )
 
 NORMAL_LABEL = "normal"
+_LABELS = ("anomalous", NORMAL_LABEL)
 
 
 class ScoringError(Exception):
@@ -313,8 +313,9 @@ def report_to_json(report: DetectionReport) -> str:
             f'      "label": "{label}"\n'
             "    }"
         )
+    threshold = [f"{quote(k)}: {json.dumps(v)}" for k, v in asdict(report.threshold).items()]
     blocks = [
-        f'"threshold": {json_value(asdict(report.threshold), True, "  ")}',
+        f'"threshold": {json_block(threshold, "  ", "{}")}',
         f'"events": {json_block(events, "  ", "[]")}',
     ]
     return json_block(blocks, "", "{}")
@@ -323,20 +324,33 @@ def report_to_json(report: DetectionReport) -> str:
 def report_from_json(text: str) -> DetectionReport:
     """Read a report back; a repeated event id or JSON key raises ``DuplicateIdError``.
 
-    A document that is not a report raises ``ValueError``.
+    A document that is not a report raises ``ValueError``, and so does an
+    event whose id is not a string, whose score is not a JSON number or whose
+    label is neither "anomalous" nor "normal". ``NaN`` and ``Infinity`` read
+    as scores: the writer writes them for non-finite scores.
     """
     doc = loads_unique(text)
     try:
         events = doc["events"]
         event_ids = tuple(entry["event_id"] for entry in events)
         threshold = ThresholdResult(**doc["threshold"])
-        scores = np.array([entry["score"] for entry in events], dtype=np.float64)
-        labels = np.array([entry["label"] == "anomalous" for entry in events], dtype=bool)
+        scores = [entry["score"] for entry in events]
+        labels = [entry["label"] for entry in events]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a detection report: {exc!r}") from exc
+    for event_id, score, label in zip(event_ids, scores, labels):
+        if type(event_id) is not str or type(score) not in (int, float) or label not in _LABELS:
+            raise ValueError(
+                f"not a detection report: event {event_id!r} has score {score!r}, label {label!r}"
+            )
     if len(set(event_ids)) != len(event_ids):
         raise DuplicateIdError(f"event {_first_duplicate(event_ids)!r} listed twice in report")
-    return DetectionReport(event_ids=event_ids, scores=scores, labels=labels, threshold=threshold)
+    return DetectionReport(
+        event_ids=event_ids,
+        scores=np.array(scores, dtype=np.float64),
+        labels=np.array([label == "anomalous" for label in labels], dtype=bool),
+        threshold=threshold,
+    )
 
 
 def report_to_csv(report: DetectionReport) -> str:

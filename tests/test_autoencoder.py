@@ -34,6 +34,7 @@ from ocelad.encoding import (
 )
 from ocelad.generator import GenConfig, generate
 from ocelad.numerics import AdamState, DimensionMismatchError, adam_step, make_rng, relu
+from ocelad.ocel import assemble_log
 
 from conftest import finite_difference_gradients, toy_graph
 
@@ -392,6 +393,15 @@ class TestTrain:
             TrainConfig(hidden1=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+
+    def test_empty_log_rejected_before_encoding(self, monkeypatch):
+        monkeypatch.setattr(autoencoder, "encode_log", lambda *args, **kw: pytest.fail("encoded"))
+        with pytest.raises(ValueError, match="cannot run detection on an empty log"):
+            autoencoder.run_detection(assemble_log([], []), TrainConfig(epochs=1))
 
 
 class TestScores:

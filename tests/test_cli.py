@@ -174,6 +174,21 @@ class TestDetect:
         assert run(args) == 2
         assert not (tmp_path / "r.json").exists()
 
+    def test_negative_seed_exits_before_reading_the_log(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(autoencoder, "train", lambda graph, config: pytest.fail("trained"))
+        monkeypatch.setattr(cli, "parse_ocel_json", lambda data: pytest.fail("parsed"))
+        args = self.detect_args(tmp_path / "ghost.jsonocel", tmp_path / "r.json", seed="-1")
+        assert run(args) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_empty_log_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(autoencoder, "train", lambda graph, config: pytest.fail("trained"))
+        log_path = tmp_path / "empty.jsonocel"
+        log_path.write_bytes(write_ocel_json(parse_ocel_json("{}")))
+        assert run(self.detect_args(log_path, tmp_path / "r.json")) == 2
+        assert "cannot run detection on an empty log" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_null_config_setting_is_config_error(self, tmp_path, small_log_path, monkeypatch):
         config = tmp_path / "settings.json"
         config.write_text(json.dumps({"epochs": None}))
@@ -302,10 +317,25 @@ class TestEvaluate:
         assert "listed twice" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "document", [{"threshold": {}}, [{"events": []}]], ids=["no-events", "list"]
+        "document, field, value",
+        [
+            ({"threshold": {}}, None, None),
+            ([{"events": []}], None, None),
+            (None, "label", "Anomalous"),
+            (None, "label", None),
+            (None, "score", True),
+            (None, "score", None),
+            (None, "score", "0.5"),
+            (None, "event_id", 1),
+        ],
+        ids=["no-events", "list", "label-case", "label-null", "score-true", "score-null",
+             "score-text", "id-integer"],
     )
-    def test_malformed_report_exit_code(self, tmp_path, capsys, document):
+    def test_malformed_report_exit_code(self, tmp_path, capsys, document, field, value):
         report_path, truth_path = write_perfect_run(tmp_path)
+        if document is None:
+            document = json.loads(report_path.read_text())
+            document["events"][0][field] = value
         report_path.write_text(json.dumps(document))
         code = run(["evaluate", "--report", str(report_path), "--truth", str(truth_path)])
         assert code == 2
@@ -417,6 +447,23 @@ class TestPipeline:
         out_dir = tmp_path / "run"
         assert run(["pipeline", "-o", str(out_dir), "--orders", "10", "--rate", rate]) == 2
         assert "rate must be in [0, 1)" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--orders", "0"], "n_orders must be >= 1"),
+            (["--items-min", "3", "--items-max", "2"], "ranges must be non-empty"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
+        ],
+        ids=["orders-zero", "items-range", "seed-negative"],
+    )
+    def test_invalid_generator_setting_exits_before_any_work(
+        self, tmp_path, capsys, flags, message
+    ):
+        out_dir = tmp_path / "run"
+        assert run(["pipeline", "-o", str(out_dir), *flags]) == 2
+        assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_config_integer_beyond_float_range_is_config_error(self, tmp_path, monkeypatch):

@@ -124,3 +124,7 @@ class TestConfigValidation:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             GenConfig(**kwargs)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            GenConfig(seed=-1)

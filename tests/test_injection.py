@@ -67,6 +67,10 @@ class TestPlan:
         with pytest.raises(InvalidRateError):
             plan_injection(29, rate=0.10)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            plan_injection(1000, seed=-1)
+
     def test_contamination_lands_near_rate(self):
         for n in (500, 2000, 50_000):
             plan = plan_injection(n, rate=0.10)

@@ -33,7 +33,6 @@ from ocelad.ocel import (
     _unique_keys,
     assemble_log,
     format_timestamps,
-    json_value,
     loads_unique,
     logger,
     parse_ocel_json,
@@ -609,21 +608,6 @@ class TestRoundTrip:
     def test_write_deterministic(self, golden_log):
         assert write_ocel_json(golden_log) == write_ocel_json(golden_log)
 
-    @pytest.mark.parametrize(
-        "value", [True, None, [], {}, [1, "é", {"k": [None, -0.0]}], {"k": {"j": 2}}]
-    )
-    def test_write_matches_stdlib_layout_for_other_values(self, value):
-        # A log holds only finite floats and strings, but json_value also
-        # writes the report, so it lays out any JSON value: here as the value
-        # of a vmap member, eight spaces deep, where the writer calls it.
-        nested = {"ocel:events": {"e1": {"ocel:vmap": {"v": value}}}}
-        expected = json.dumps(nested, indent=2, ensure_ascii=False)
-        member = f'"v": {json_value(value, False, "        ")}'
-        assert expected == (
-            '{\n  "ocel:events": {\n    "e1": {\n      "ocel:vmap": {\n        '
-            f"{member}\n      }}\n    }}\n  }}\n}}"
-        )
-
     @settings(deadline=None)
     @given(logs())
     def test_write_matches_stdlib_layout_and_round_trips(self, log):
@@ -861,6 +845,24 @@ class TestMemberCount:
             loads_unique("[" * 100_000)
         assert not isinstance(excinfo.value, DuplicateIdError)
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_loads_unique_pauses_the_collector(self, monkeypatch, enabled):
+        states = []
+        hook = _unique_keys
+        monkeypatch.setattr(
+            ocel, "_unique_keys", lambda pairs: states.append(gc.isenabled()) or hook(pairs)
+        )
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert loads_unique('{"a": {"b": 1}}') == {"a": {"b": 1}}
+            assert states == [False, False] and gc.isenabled() is enabled
+            with pytest.raises(DuplicateIdError):
+                loads_unique('{"a": 1, "a": 2}')
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
     def test_lone_surrogate_in_text(self):
         assert loads_unique('{"\ud800": 1}') == {"\ud800": 1}
         with pytest.raises(DuplicateIdError, match="appears twice"):
@@ -1044,6 +1046,26 @@ class TestHookFreeParse:
         with pytest.raises(DuplicateIdError):
             parse_ocel_json('{"ocel:objects": {"o1": {"ocel:type": "A"}, "o1": {}}}')
         assert calls
+
+    def test_strict_decode_only_on_rejected_input(self, monkeypatch):
+        calls = []
+        strict = loads_unique
+        monkeypatch.setattr(
+            ocel, "loads_unique", lambda *args: calls.append(args) or strict(*args)
+        )
+        parse_ocel_json(golden_log_bytes())
+        assert calls == []
+        event = '"ocel:timestamp": "2023-01-01T00:00:00Z", "ocel:omap": ["o1"]'
+        objects = '"ocel:objects": {"o1": {"ocel:type": "A"}}'
+        for text, error in [
+            ('{"ocel:objects": {"o1": {"ocel:type": "A"}, "o1": {}}}', DuplicateIdError),
+            ('{"ocel:events": {"e1": {' + event + "}}, " + objects + "}", MissingFieldError),
+            ('{"ocel:events": {"e1": {' + event + "}, " + objects + "}", MalformedDocumentError),
+        ]:
+            calls.clear()
+            with pytest.raises(error):
+                parse_ocel_json(text)
+            assert calls == [(text, ocel._reject_constant)]
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("data", [golden_log_bytes(), b'{"a": 1, "a": 2}', b"{"])

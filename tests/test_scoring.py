@@ -441,6 +441,29 @@ class TestReportSerialization:
         with pytest.raises(DuplicateIdError):
             report_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("label", "Anomalous"),
+            ("label", None),
+            ("score", True),
+            ("score", None),
+            ("score", "0.5"),
+            ("event_id", 7),
+        ],
+    )
+    def test_json_misreadable_event_rejected(self, field, value):
+        doc = json.loads(report_to_json(self.build_report()))
+        doc["events"][2][field] = value
+        with pytest.raises(ValueError, match="not a detection report"):
+            report_from_json(json.dumps(doc))
+
+    def test_json_non_finite_scores_read(self):
+        report = self.build_report()
+        report.scores = np.array([math.nan, math.inf, -math.inf, 0.2, 9.0])
+        again = report_from_json(report_to_json(report))
+        np.testing.assert_array_equal(again.scores, report.scores)
+
     def test_json_repeated_key_rejected(self):
         text = report_to_json(self.build_report())
         repeated = text.replace('"events": [', '"events": [], "events": [', 1)
