@@ -273,12 +273,11 @@ def _float32_twin(graph: EncodedGraph) -> EncodedGraph:
     loop reports as a non-finite loss.
     """
     norm = graph.normalized
-    weights = np.ones(norm.nnz) if norm.weights is None else norm.weights
     with np.errstate(over="ignore"):
         return replace(
             graph,
             normalized=SparseAdjacency(
-                norm.n, norm.indptr, norm.indices, weights.astype(np.float32)
+                norm.n, norm.indptr, norm.indices, norm.weights.astype(np.float32)
             ),
             features=graph.features.astype(np.float32),
         )
@@ -340,7 +339,7 @@ def score_events(x: np.ndarray, xhat: np.ndarray, layout: FeatureLayout) -> np.n
 
 
 def run_detection(
-    log: ObjectCentricLog, config: TrainConfig, k_factor: float = 1.5, scale_numeric: bool = True
+    log: ObjectCentricLog, config: TrainConfig, k_factor: float = 1.5
 ) -> DetectionReport:
     """Encode ``log``, train, score every event and label it against the IQR threshold.
 
@@ -351,7 +350,7 @@ def run_detection(
     validate_k_factor(k_factor)
     if not log.ids:
         raise ValueError("cannot run detection on an empty log")
-    graph = encode_log(log, scale_numeric=scale_numeric)
+    graph = encode_log(log)
     report = train(graph, config)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged model raises below
         _, xhat = forward(graph, report.model)

@@ -29,7 +29,7 @@ from .injection import (
     InsufficientCandidatesError,
     inject_all,
     plan_injection,
-    validate_rate,
+    validate_plan,
 )
 from .ocel import ObjectCentricLog, OcelError, loads_unique, parse_ocel_json, write_ocel_json
 from .scoring import (
@@ -51,7 +51,7 @@ class Setting(NamedTuple):
     """A setting: the flag ``--`` plus its name with dashes, and the config key ``name``."""
 
     type: type
-    default: int | float | bool
+    default: int | float
     help: str
     commands: tuple[str, ...]
 
@@ -73,13 +73,10 @@ SETTINGS = {
     "hidden2": Setting(int, _TRAIN.hidden2, "latent width", _DETECT),
     "lr": Setting(float, _TRAIN.learning_rate, "Adam learning rate", _DETECT),
     "k_factor": Setting(float, 1.5, "IQR multiplier, finite and >= 0", _DETECT),
-    "no_scale_numeric": Setting(
-        bool, False, "encode numeric attributes raw instead of min-max scaled", _DETECT
-    ),
 }
 # The JSON value types a config file may give a setting of each type. They are
 # matched exactly, so true and false are not integers.
-_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
+_JSON_TYPES = {int: (int,), float: (int, float)}
 
 
 class EvaluationJoinError(Exception):
@@ -158,7 +155,7 @@ def _detect_into(
     path: Path, log: ObjectCentricLog, config: TrainConfig, settings: dict
 ) -> DetectionReport:
     """Detection with the effective settings; the report goes to ``path`` and a CSV beside it."""
-    report = run_detection(log, config, settings["k_factor"], not settings["no_scale_numeric"])
+    report = run_detection(log, config, settings["k_factor"])
     path.write_text(report_to_json(report), encoding="utf-8")
     path.with_suffix(".csv").write_text(report_to_csv(report), encoding="utf-8")
     return report
@@ -172,10 +169,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_inject(args: argparse.Namespace) -> int:
     settings = _effective(args)
+    rate, seed = settings["rate"], settings["seed"]
+    validate_plan(rate, seed)
     log = parse_ocel_json(Path(args.input).read_bytes())
     output = Path(args.output)
     truth_path = Path(args.truth) if args.truth else output.with_suffix(".truth.csv")
-    rate, seed = settings["rate"], settings["seed"]
     plan, contaminated, _ = _inject_into(output, truth_path, log, rate, seed)
     print(
         f"injected {plan.total} anomalies "
@@ -232,14 +230,14 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     configs = [_train_config(settings, seed) for seed in detect_seeds]
     gen_config = _gen_config(settings)
     validate_k_factor(settings["k_factor"])
-    validate_rate(settings["rate"])
+    inject_seed = base_seed + 1
+    validate_plan(settings["rate"], inject_seed)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     clean_path = out_dir / "clean.jsonocel"
     clean = _generate_into(clean_path, gen_config)
 
-    inject_seed = base_seed + 1
     contaminated_path = out_dir / "contaminated.jsonocel"
     truth_path = out_dir / "truth.csv"
     plan, contaminated, truth = _inject_into(
@@ -281,11 +279,7 @@ def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
     for name, setting in SETTINGS.items():
         if command not in setting.commands:
             continue
-        flag = "--" + name.replace("_", "-")
-        if setting.type is bool:
-            parser.add_argument(flag, action="store_const", const=True, help=setting.help)
-        else:
-            parser.add_argument(flag, type=setting.type, help=setting.help)
+        parser.add_argument("--" + name.replace("_", "-"), type=setting.type, help=setting.help)
     parser.add_argument("--config", help="JSON settings file")
 
 

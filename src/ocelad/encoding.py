@@ -6,9 +6,10 @@ implicit unit values), its symmetrically normalized self-looped variant used
 by the graph convolutions, and a dense per-event feature matrix with a
 deterministic column layout: activity one-hots first, then one block per
 categorical attribute (sorted values plus a trailing missing-value column),
-then one column per numeric attribute (min-max scaled by default). Layout and
-features are read from the log's columns: the vocabularies and codes of the
-activity and categorical attributes, and the float columns of the numerics.
+then one column per numeric attribute. Layout and features are read from the
+log's columns: the vocabularies and codes of the activity and categorical
+attributes, and the float columns of the numerics. A log is encoded only with
+the layout built from it, so each code is its own column offset.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ class EncodingError(Exception):
 
 class IndexOutOfRangeError(EncodingError):
     """An instance references an event index outside the node range."""
-
-
-class UnknownCategoricalValueError(EncodingError):
-    """An event carries a categorical value absent from the layout vocabulary."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +104,8 @@ class FeatureLayout:
 
 @dataclass(frozen=True, eq=False)
 class EncodedGraph:
-    """The model input: adjacency, normalized adjacency, features, layout."""
+    """The model input: normalized adjacency, features, layout."""
 
-    adjacency: SparseAdjacency
     normalized: SparseAdjacency
     features: np.ndarray
     layout: FeatureLayout
@@ -117,7 +113,7 @@ class EncodedGraph:
 
     @property
     def n(self) -> int:
-        return self.adjacency.n
+        return self.normalized.n
 
 
 def _csr(
@@ -202,70 +198,46 @@ def encode_features(
     Activity and categorical blocks are one-hot; a missing categorical value
     sets the group's missing column. Missing numeric values encode as 0.
     With ``scale_numeric`` the numeric columns are min-max scaled to [0, 1]
-    using the layout's recorded bounds (out-of-range values are clamped);
-    otherwise raw values are written. The layout may come from another log:
-    an attribute the log lacks is missing everywhere, one of the other kind an error.
+    using the layout's recorded bounds; otherwise raw values are written.
+    ``layout`` must equal ``build_layout(log)``: any other raises ``EncodingError``.
     """
+    if layout != build_layout(log):
+        raise EncodingError("the layout was not built from this log")
     n = len(log.ids)
     matrix = np.zeros((n, layout.n_columns), dtype=np.float64)
     for group in layout.groups:
-        numeric = group.kind is GroupKind.NUMERIC
-        kind = AttributeKind.NUMERIC if numeric else AttributeKind.CATEGORICAL
-        if group.kind is not GroupKind.ACTIVITY and log.schema.get(group.name, kind) is not kind:
-            raise UnknownCategoricalValueError(
-                f"attribute {group.name!r} is {log.schema[group.name].value} in the log "
-                f"but {group.kind.value} in the layout"
-            )
-        if numeric:
-            values = log.columns.get(group.name, np.full(n, np.nan))
-            present = np.flatnonzero(~np.isnan(values))
-            span = group.max_value - group.min_value
-            if not present.size or (scale_numeric and span <= 0.0):
-                continue
-            values = values[present]
-            if scale_numeric:
-                # Clamp as min(1.0, max(0.0, x)) on Python floats does: an
-                # overflowing span passes silently, and -0.0 and NaN become 0.0
-                # (np.maximum keeps both, np.fmax may keep -0.0).
-                with np.errstate(over="ignore", invalid="ignore"):
-                    scaled = (values - group.min_value) / span
-                scaled = np.where(scaled > 0.0, scaled, 0.0)
-                values = np.where(scaled < 1.0, scaled, 1.0)
-            matrix[present, group.start] = values
+        if group.kind is not GroupKind.NUMERIC:
+            activity = group.kind is GroupKind.ACTIVITY
+            codes = log.activity_codes if activity else log.columns[group.name]
+            # Code c goes to column start + c; code -1 to the missing column.
+            matrix[np.arange(n), np.where(codes < 0, group.stop - 1, group.start + codes)] = 1.0
             continue
-        if group.kind is GroupKind.ACTIVITY:
-            vocabulary, codes = log.activity_vocabulary, log.activity_codes
-        else:
-            vocabulary = log.vocabularies.get(group.name, ())
-            codes = log.columns.get(group.name, np.full(n, -1))
-        # Code c of the log goes to column targets[c]; code -1 to the missing column.
-        lookup = {value: group.start + offset for offset, value in enumerate(group.vocabulary)}
-        targets = [lookup.get(value, -1) for value in vocabulary]
-        targets.append(-1 if group.missing_column is None else group.missing_column)
-        columns = np.array(targets, dtype=np.int64)[codes]
-        unknown = np.flatnonzero(columns < 0)
-        if unknown.size:
-            row = unknown[0]
-            raise UnknownCategoricalValueError(
-                f"event {log.ids[row]!r}: value {vocabulary[codes[row]]!r} of {group.name!r} "
-                "not in layout vocabulary"
-            )
-        matrix[np.arange(n), columns] = 1.0
+        values = log.columns[group.name]
+        present = np.flatnonzero(~np.isnan(values))
+        span = group.max_value - group.min_value
+        if not present.size or (scale_numeric and span <= 0.0):
+            continue
+        values = values[present]
+        if scale_numeric:
+            # Clamp as min(1.0, max(0.0, x)) on Python floats does: an
+            # overflowing span passes silently, and -0.0 and NaN become 0.0
+            # (np.maximum keeps both, np.fmax may keep -0.0).
+            with np.errstate(over="ignore", invalid="ignore"):
+                scaled = (values - group.min_value) / span
+            scaled = np.where(scaled > 0.0, scaled, 0.0)
+            values = np.where(scaled < 1.0, scaled, 1.0)
+        matrix[present, group.start] = values
     return matrix
 
 
-def encode_log(log: ObjectCentricLog, scale_numeric: bool = True) -> EncodedGraph:
+def encode_log(log: ObjectCentricLog) -> EncodedGraph:
     """Full encoding pipeline: instances -> adjacency -> normalization -> features."""
     instance_set = build_instances(log)
-    adjacency = build_adjacency(instance_set, len(log.ids))
-    normalized = normalize_adjacency(adjacency)
+    normalized = normalize_adjacency(build_adjacency(instance_set, len(log.ids)))
     layout = build_layout(log)
-    features = encode_features(log, layout, scale_numeric=scale_numeric)
     return EncodedGraph(
-        adjacency=adjacency,
         normalized=normalized,
-        features=features,
+        features=encode_features(log, layout),
         layout=layout,
         event_ids=log.ids,
     )
-

@@ -115,10 +115,12 @@ class GroundTruth:
         return cls(labels=labels)
 
 
-def validate_rate(rate: float) -> None:
-    """Reject a contamination rate outside [0, 1), NaN included."""
+def validate_plan(rate: float, seed: int) -> None:
+    """Reject a contamination rate outside [0, 1), NaN included, and a negative seed."""
     if not 0.0 <= rate < 1.0:
         raise InvalidRateError(f"rate must be in [0, 1), got {rate}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def plan_injection(n_original: int, rate: float = 0.10, seed: int = 0) -> InjectionPlan:
@@ -128,9 +130,7 @@ def plan_injection(n_original: int, rate: float = 0.10, seed: int = 0) -> Inject
     3c / (n + c), lands on the requested rate up to rounding. A rate of 0
     plans nothing and leaves the log untouched.
     """
-    validate_rate(rate)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    validate_plan(rate, seed)
     if rate > 0.0 and n_original < 30:
         raise InvalidRateError(f"need at least 30 events to inject, got {n_original}")
     count = round(rate * n_original / (3.0 - rate)) if rate > 0.0 else 0

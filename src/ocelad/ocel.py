@@ -138,7 +138,7 @@ class ObjectCentricLog:
 
     Event i has id ``ids[i]``, activity ``activity_vocabulary[activity_codes[i]]``
     and timestamp ``timestamps[i]`` (int64 milliseconds since the Unix epoch,
-    UTC). Its objects are ``ref_objects[ref_indptr[i]:ref_indptr[i + 1]]``,
+    UTC, within the years 1 to 9999). Its objects are ``ref_objects[ref_indptr[i]:ref_indptr[i + 1]]``,
     indices into ``objects`` ordered by object id. ``columns`` holds one
     array per attribute of ``schema``: float64 with NaN for a missing numeric
     value, or int64 codes into the sorted ``vocabularies[name]`` with -1 for
@@ -388,8 +388,14 @@ def _build_log(
 
     try:
         stamps = np.array(timestamps, dtype=np.int64)
-    except OverflowError:  # beyond int64: kept, so that the writer reports it
-        stamps = np.array(timestamps, dtype=object)
+        outside = np.flatnonzero((stamps < _MIN_MILLIS) | (stamps > _MAX_MILLIS))
+    except OverflowError:  # beyond int64
+        outside = [i for i, t in enumerate(timestamps) if not _MIN_MILLIS <= t <= _MAX_MILLIS]
+    if len(outside):
+        row = outside[0]
+        raise InvalidTimestampError(
+            f"event {ids[row]!r}: timestamp {timestamps[row]} ms is outside the years 1 to 9999"
+        )
     columns, vocabularies = {}, {}
     declared = set(declared_attrs)
     for name in sorted(declared.union(attributes)):

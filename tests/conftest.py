@@ -186,7 +186,6 @@ def toy_graph(rng: np.random.Generator, n: int, k: int) -> EncodedGraph:
         n_columns=k,
     )
     return EncodedGraph(
-        adjacency=adjacency,
         normalized=normalize_adjacency(adjacency),
         features=rng.random((n, k)),
         layout=layout,

@@ -48,7 +48,6 @@ def single_node_graph(x: float) -> EncodedGraph:
         n_columns=1,
     )
     return EncodedGraph(
-        adjacency=adjacency,
         normalized=normalize_adjacency(adjacency),
         features=np.array([[x]]),
         layout=layout,
@@ -441,10 +440,16 @@ class TestScores:
             score_events(np.zeros((4, 5)), np.zeros((4, 5)), graph.layout)
 
 
+def edge_matrix(graph: EncodedGraph) -> np.ndarray:
+    """The graph's symmetrized edges as a 0/1 matrix: its normalized adjacency off the diagonal."""
+    dense = (graph.normalized.to_dense() != 0).astype(np.float64)
+    np.fill_diagonal(dense, 0.0)
+    return dense
+
+
 class TestEquivariance:
     def build_permuted(self, graph, perm):
-        dense = graph.adjacency.to_dense()
-        permuted = dense[np.ix_(perm, perm)]
+        permuted = edge_matrix(graph)[np.ix_(perm, perm)]
         pairs = sorted(zip(*np.nonzero(permuted)))
         indptr = np.zeros(graph.n + 1, dtype=np.int64)
         np.cumsum(np.bincount([u for u, _ in pairs], minlength=graph.n), out=indptr[1:])
@@ -454,7 +459,6 @@ class TestEquivariance:
             indices=np.array([v for _, v in pairs], dtype=np.int64),
         )
         return EncodedGraph(
-            adjacency=adjacency,
             normalized=normalize_adjacency(adjacency),
             features=graph.features[perm],
             layout=graph.layout,
@@ -483,8 +487,8 @@ class TestDisconnectedIndependence:
         base = toy_graph(rng, n=6, k=k)
         extra = toy_graph(rng, n=4, k=k)
         combined_pairs = sorted(
-            [(u, v) for u, v in zip(*np.nonzero(base.adjacency.to_dense()))]
-            + [(u + 6, v + 6) for u, v in zip(*np.nonzero(extra.adjacency.to_dense()))]
+            [(u, v) for u, v in zip(*np.nonzero(edge_matrix(base)))]
+            + [(u + 6, v + 6) for u, v in zip(*np.nonzero(edge_matrix(extra)))]
         )
         indptr = np.zeros(11, dtype=np.int64)
         np.cumsum(np.bincount([u for u, _ in combined_pairs], minlength=10), out=indptr[1:])
@@ -494,7 +498,6 @@ class TestDisconnectedIndependence:
             indices=np.array([v for _, v in combined_pairs], dtype=np.int64),
         )
         combined = EncodedGraph(
-            adjacency=adjacency,
             normalized=normalize_adjacency(adjacency),
             features=np.vstack([base.features, extra.features]),
             layout=base.layout,

@@ -121,6 +121,20 @@ class TestInject:
         code = run(["inject", "-i", str(tmp_path / "nope.jsonocel"), "-o", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--rate", "2"], "rate must be in [0, 1)"), (["--seed", "-1"], "seed must be >= 0")],
+        ids=["rate", "seed"],
+    )
+    def test_invalid_plan_setting_exits_before_reading_the_log(
+        self, tmp_path, small_log_path, monkeypatch, capsys, flags, message
+    ):
+        monkeypatch.setattr(cli, "parse_ocel_json", lambda data: pytest.fail("parsed"))
+        out = tmp_path / "dirty.jsonocel"
+        assert run(["inject", "-i", str(small_log_path), "-o", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_injection_exit_code(self, tmp_path):
         rows = [(f"e{i:02d}", "act", i, ["hub"], {"x": 1.0}) for i in range(34)]
         log = make_log(rows, {"hub": "T"})
@@ -413,14 +427,14 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "document",
-        [{"no_scale_numeric": "false"}, {"epochs": True}, {"epochs": 3.9}, {"rate": "0.1"}],
+        [{"seed": "false"}, {"epochs": True}, {"epochs": 3.9}, {"rate": "0.1"}],
         ids=["bool-as-string", "bool-as-int", "float-as-int", "string-as-float"],
     )
     def test_config_value_of_wrong_type_is_config_error(
         self, tmp_path, monkeypatch, capsys, document
     ):
-        # Each of these used to be cast or ignored: "false" turned scaling
-        # off, true trained one epoch, 3.9 trained three.
+        # Each of these used to be cast or ignored: true trained one epoch,
+        # 3.9 trained three.
         config = tmp_path / "settings.json"
         config.write_text(json.dumps(document))
         monkeypatch.setattr(autoencoder, "train", lambda graph, config: pytest.fail("trained"))
@@ -475,14 +489,14 @@ class TestPipeline:
 
     def test_config_values_take_their_setting_type(self, tmp_path):
         config = tmp_path / "settings.json"
-        config.write_text(json.dumps({"k_factor": 2, "no_scale_numeric": True, "epochs": 2}))
+        config.write_text(json.dumps({"k_factor": 2, "epochs": 2}))
         out_dir = tmp_path / "run"
         args = ["pipeline", "-o", str(out_dir), "--orders", "30", "--hidden1", "4",
                 "--hidden2", "2", "--config", str(config)]
         assert run(args) == 0
         settings = json.loads((out_dir / "manifest.json").read_text())["settings"]
-        assert (settings["k_factor"], settings["no_scale_numeric"]) == (2.0, True)
-        assert type(settings["k_factor"]) is float
+        assert (settings["k_factor"], settings["epochs"]) == (2.0, 2)
+        assert (type(settings["k_factor"]), type(settings["epochs"])) == (float, int)
 
     def test_truth_without_anomaly_exits_before_training(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(autoencoder, "train", lambda graph, config: pytest.fail("trained"))
@@ -511,13 +525,13 @@ class TestSurface:
         ],
         "detect": [
             "--config", "--epochs", "--help", "--hidden1", "--hidden2", "--input",
-            "--k-factor", "--lr", "--no-scale-numeric", "--output", "--seed", "-h", "-i", "-o",
+            "--k-factor", "--lr", "--output", "--seed", "-h", "-i", "-o",
         ],
         "evaluate": ["--help", "--output", "--report", "--truth", "-h", "-o"],
         "pipeline": [
             "--config", "--epochs", "--group-max", "--group-min", "--help", "--hidden1",
             "--hidden2", "--items-max", "--items-min", "--k-factor", "--lr",
-            "--mean-step-minutes", "--no-scale-numeric", "--orders", "--output-dir", "--rate",
+            "--mean-step-minutes", "--orders", "--output-dir", "--rate",
             "--repeat", "--seed", "-h", "-o",
         ],
     }
@@ -532,7 +546,6 @@ class TestSurface:
         "k_factor": 1.5,
         "lr": 0.02,
         "mean_step_minutes": 15.0,
-        "no_scale_numeric": False,
         "orders": 500,
         "rate": 0.1,
         "repeat": 1,
@@ -550,6 +563,19 @@ class TestSurface:
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_readme_settings_table(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = [
+            [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in readme.read_text("utf-8").splitlines()
+            if line.startswith("| `--")
+        ]
+        expected = [
+            ["--" + name.replace("_", "-"), s.type.__name__, str(s.default), ", ".join(s.commands)]
+            for name, s in cli.SETTINGS.items()
+        ]
+        assert rows == expected
 
     def test_option_strings(self):
         parser = cli._build_parser()

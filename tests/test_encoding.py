@@ -6,11 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ocelad.encoding import (
+    EncodingError,
     FeatureGroup,
     FeatureLayout,
     GroupKind,
     IndexOutOfRangeError,
-    UnknownCategoricalValueError,
     build_adjacency,
     build_layout,
     encode_features,
@@ -74,19 +74,13 @@ def reference_encode_features(log, layout, scale_numeric=True):
     for row, event in enumerate(log.events):
         for group in layout.groups:
             if group.kind is GroupKind.ACTIVITY:
-                column = lookups[group.name].get(event.activity)
-                if column is None:
-                    raise UnknownCategoricalValueError(event.activity)
-                matrix[row, column] = 1.0
+                matrix[row, lookups[group.name][event.activity]] = 1.0
             elif group.kind is GroupKind.CATEGORICAL:
                 value = event.attributes.get(group.name)
                 if value is None:
                     matrix[row, group.missing_column] = 1.0
                 else:
-                    column = lookups[group.name].get(value)
-                    if column is None:
-                        raise UnknownCategoricalValueError(value)
-                    matrix[row, column] = 1.0
+                    matrix[row, lookups[group.name][value]] = 1.0
             else:
                 value = event.attributes.get(group.name)
                 if value is None:
@@ -135,7 +129,7 @@ def numeric_log(values):
 def feature_cases(draw):
     """A log and the log its layout comes from: itself or a subset of its events.
 
-    A subset leaves values unknown to the layout and numerics out of its bounds.
+    A subset's layout may lack values of the log or bound its numerics tighter.
     """
     events = []
     for i in range(draw(st.integers(0, 8))):
@@ -345,36 +339,23 @@ class TestFeatures:
         assert features[1, num.start] == 0.0
         assert features[0, cat.start] == 1.0
 
-    def test_unknown_categorical_value(self):
-        log1 = make_log([("e1", "a", 0, ["o1"], {"c": "x"})], {"o1": "T"})
-        layout = build_layout(log1)
-        log2 = make_log([("e1", "a", 0, ["o1"], {"c": "new"})], {"o1": "T"})
-        with pytest.raises(UnknownCategoricalValueError):
-            encode_features(log2, layout)
+    @pytest.mark.parametrize(
+        "layout_rows, rows",
+        [
+            ([("a", {"c": "x"})], [("a", {"c": "new"})]),
+            ([("a", {"c": 1.0})], [("a", {"c": "x"})]),
+            ([("a", {})], [("b", {})]),
+            ([("a", {"n": 10.0}), ("a", {"n": 20.0})], [("a", {"n": 30.0})]),
+        ],
+        ids=["unknown-value", "other-kind", "unknown-activity", "numeric-out-of-bounds"],
+    )
+    def test_layout_of_another_log_rejected(self, layout_rows, rows):
+        def log_of(rows):
+            events = [(f"e{i}", a, i, ["o1"], attrs) for i, (a, attrs) in enumerate(rows)]
+            return make_log(events, {"o1": "T"})
 
-    def test_attribute_kind_differs_from_layout(self):
-        layout = build_layout(make_log([("e1", "a", 0, ["o1"], {"c": 1.0})], {"o1": "T"}))
-        log = make_log([("e1", "a", 0, ["o1"], {"c": "x"})], {"o1": "T"})
-        with pytest.raises(UnknownCategoricalValueError):
-            encode_features(log, layout)
-
-    def test_unknown_activity(self):
-        log1 = make_log([("e1", "a", 0, ["o1"], {})], {"o1": "T"})
-        layout = build_layout(log1)
-        log2 = make_log([("e1", "b", 0, ["o1"], {})], {"o1": "T"})
-        with pytest.raises(UnknownCategoricalValueError):
-            encode_features(log2, layout)
-
-    def test_scaled_values_clamped_to_unit_interval(self):
-        log1 = make_log(
-            [("e1", "a", 0, ["o1"], {"n": 10.0}), ("e2", "a", 1, ["o1"], {"n": 20.0})],
-            {"o1": "T"},
-        )
-        layout = build_layout(log1)
-        log2 = make_log([("e1", "a", 0, ["o1"], {"n": 30.0})], {"o1": "T"})
-        features = encode_features(log2, layout)
-        group = next(g for g in layout.groups if g.name == "n")
-        assert features[0, group.start] == 1.0
+        with pytest.raises(EncodingError):
+            encode_features(log_of(rows), build_layout(log_of(layout_rows)))
 
     @settings(deadline=None)
     @given(feature_cases(), st.booleans())
@@ -385,12 +366,11 @@ class TestFeatures:
     def test_matches_row_loop(self, case, scale_numeric):
         log, layout_log = case
         layout = build_layout(layout_log)
-        try:
-            expected = reference_encode_features(log, layout, scale_numeric)
-        except UnknownCategoricalValueError:
-            with pytest.raises(UnknownCategoricalValueError):
+        if layout != reference_build_layout(log):
+            with pytest.raises(EncodingError):
                 encode_features(log, layout, scale_numeric)
             return
+        expected = reference_encode_features(log, layout, scale_numeric)
         assert encode_features(log, layout, scale_numeric).tobytes() == expected.tobytes()
 
     def test_one_hot_row_sums(self):
@@ -404,7 +384,7 @@ class TestFeatures:
 
     def test_scaling_bounds(self):
         log = generate(GenConfig(n_orders=15, seed=2))
-        graph = encode_log(log, scale_numeric=True)
+        graph = encode_log(log)
         assert graph.features.min() >= 0.0
         assert graph.features.max() <= 1.0
 

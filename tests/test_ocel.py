@@ -575,9 +575,8 @@ class TestTimestamps:
             reference_format_timestamp(millis)
         with pytest.raises(OverflowError):
             format_timestamps([0, millis])
-        log = make_log([("e1", "a", millis, ["o1"], {})], {"o1": "T"})
-        with pytest.raises(OverflowError):
-            write_ocel_json(log)
+        with pytest.raises(InvalidTimestampError, match="event 'e1': timestamp"):
+            make_log([("e0", "a", 0, ["o1"], {}), ("e1", "a", millis, ["o1"], {})], {"o1": "T"})
 
 
 class TestRoundTrip:
