@@ -7,7 +7,8 @@ Same flags and seed, same files: ``detect`` writes a report JSON and a CSV;
 ``pipeline`` writes logs, truth, reports, metrics JSON and a settings manifest.
 
 Exit codes: 0 success, 2 configuration, input or I/O error (a non-finite
-setting too), 3 injection infeasible, 4 a training loss or the final
+setting, two outputs on one path, and a log too large to encode in memory
+too), 3 injection infeasible, 4 a training loss or the final
 reconstruction not finite, 5 evaluation join failure or a metric undefined
 on the ground truth, which the pipeline checks before training.
 """
@@ -61,7 +62,6 @@ _SHAPE, _INJECT, _DETECT = ("generate", "pipeline"), ("inject", "pipeline"), ("d
 SETTINGS = {
     "seed": Setting(int, _GEN.seed, "random seed", ("generate", "inject", "detect", "pipeline")),
     "orders": Setting(int, _GEN.n_orders, "number of orders", _SHAPE),
-    "mean_step_minutes": Setting(float, _GEN.mean_step_minutes, "mean minutes per event", _SHAPE),
     "items_min": Setting(int, _GEN.items_per_order[0], "min items per order", _SHAPE),
     "items_max": Setting(int, _GEN.items_per_order[1], "max items per order", _SHAPE),
     "group_min": Setting(int, _GEN.orders_per_package[0], "min orders per package", _SHAPE),
@@ -118,8 +118,13 @@ def _gen_config(settings: dict) -> GenConfig:
         items_per_order=(settings["items_min"], settings["items_max"]),
         orders_per_package=(settings["group_min"], settings["group_max"]),
         seed=settings["seed"],
-        mean_step_minutes=settings["mean_step_minutes"],
     )
+
+
+def _distinct_outputs(*paths: Path) -> None:
+    """Raise unless ``paths`` name different files, so that no output overwrites another."""
+    if len({path.resolve() for path in paths}) < len(paths):
+        raise ValueError(f"outputs {', '.join(map(str, paths))} are one file")
 
 
 def _generate_into(path: Path, config: GenConfig) -> ObjectCentricLog:
@@ -171,9 +176,10 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     settings = _effective(args)
     rate, seed = settings["rate"], settings["seed"]
     validate_plan(rate, seed)
-    log = parse_ocel_json(Path(args.input).read_bytes())
     output = Path(args.output)
     truth_path = Path(args.truth) if args.truth else output.with_suffix(".truth.csv")
+    _distinct_outputs(output, truth_path)
+    log = parse_ocel_json(Path(args.input).read_bytes())
     plan, contaminated, _ = _inject_into(output, truth_path, log, rate, seed)
     print(
         f"injected {plan.total} anomalies "
@@ -186,8 +192,11 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 def _cmd_detect(args: argparse.Namespace) -> int:
     settings = _effective(args)
     config = _train_config(settings, settings["seed"])
+    validate_k_factor(settings["k_factor"])
+    output = Path(args.output)
+    _distinct_outputs(output, output.with_suffix(".csv"))
     log = parse_ocel_json(Path(args.input).read_bytes())
-    report = _detect_into(Path(args.output), log, config, settings)
+    report = _detect_into(output, log, config, settings)
     n_anomalous = int(report.labels.sum())
     print(
         f"scored {len(report.event_ids)} events; tau={report.threshold.tau:.6g}; "
@@ -327,7 +336,9 @@ _EXIT_CODES = {
     InsufficientCandidatesError: 3,
     NonFiniteLossError: 4,
     **dict.fromkeys((EvaluationJoinError, SingleClassError, NoPositivesError), 5),
-    **dict.fromkeys((OcelError, InjectionError, OSError, ValueError, OverflowError), 2),
+    **dict.fromkeys(
+        (OcelError, InjectionError, OSError, ValueError, OverflowError, MemoryError), 2
+    ),
 }
 
 
@@ -336,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .instances import ProcessInstanceSet, _sorted_unique, build_instances
-from .ocel import AttributeKind, ObjectCentricLog
+from .ocel import ObjectCentricLog
 
 
 class EncodingError(Exception):
@@ -179,9 +179,9 @@ def build_layout(log: ObjectCentricLog) -> FeatureLayout:
             FeatureGroup(name, GroupKind.CATEGORICAL, column, column + len(values) + 1, values)
         )
         column += len(values) + 1
-    for name, kind in log.schema.items():
-        if kind is AttributeKind.NUMERIC:
-            observed = log.columns[name][~np.isnan(log.columns[name])]
+    for name, values in log.columns.items():
+        if name not in log.vocabularies:
+            observed = values[~np.isnan(values)]
             # The first of equal extremes, as min() and max() pick: -0.0 or 0.0.
             low = float(observed[observed.argmin()]) if observed.size else 0.0
             high = float(observed[observed.argmax()]) if observed.size else 0.0

@@ -15,7 +15,6 @@ tie-break-free.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .numerics import make_rng
@@ -28,6 +27,8 @@ _PRICE_RANGE = (10.0, 200.0)
 _WEIGHT_RANGE = (1.0, 30.0)
 _PRICE_WOBBLE = 1.0
 _WEIGHT_WOBBLE = 0.1
+# Mean of the exponential gap between consecutive events: 15 minutes.
+_MEAN_STEP_MS = 15.0 * 60_000.0
 
 DEFAULT_BASE_TIME = parse_timestamp("2023-04-01T09:00:00Z")
 
@@ -38,7 +39,6 @@ class GenConfig:
     items_per_order: tuple[int, int] = (1, 3)
     orders_per_package: tuple[int, int] = (1, 2)
     seed: int = 0
-    mean_step_minutes: float = 15.0
 
     def __post_init__(self) -> None:
         if self.n_orders < 1:
@@ -46,8 +46,6 @@ class GenConfig:
         for low, high in (self.items_per_order, self.orders_per_package):
             if low < 1 or high < low:
                 raise ValueError("ranges must be non-empty with low >= 1")
-        if not (math.isfinite(self.mean_step_minutes) and self.mean_step_minutes > 0):
-            raise ValueError("mean_step_minutes must be finite and positive")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -55,7 +53,6 @@ class GenConfig:
 def generate(config: GenConfig) -> ObjectCentricLog:
     """Generate a valid log; identical configs produce identical logs."""
     rng = make_rng(config.seed)
-    step_ms = config.mean_step_minutes * 60_000.0
 
     clock = DEFAULT_BASE_TIME
     events: list[Event] = []
@@ -64,7 +61,7 @@ def generate(config: GenConfig) -> ObjectCentricLog:
 
     def tick() -> int:
         nonlocal clock
-        clock += max(1, int(round(rng.exponential(step_ms))))
+        clock += max(1, int(round(rng.exponential(_MEAN_STEP_MS))))
         return clock
 
     def emit(activity: str, refs: set[str], region: str, priority: str,

@@ -145,7 +145,7 @@ def plan_injection(n_original: int, rate: float = 0.10, seed: int = 0) -> Inject
 
 def _attribute_columns(log: ObjectCentricLog) -> np.ndarray:
     """Encoded attribute sub-vectors (activity block dropped), scaled numerics."""
-    if not log.schema:
+    if not log.columns:
         raise NoAttributesError("log has no attributes to swap")
     layout = build_layout(log)
     return encode_features(log, layout, scale_numeric=True)[:, layout.groups[0].stop :]
@@ -302,7 +302,7 @@ def inject_all(
         np.concatenate([timestamps, np.array(new_stamps, dtype=timestamps.dtype)]),
         np.array([o.object_id for o in log.objects], dtype=object)[refs],
         np.diff(bounds)[list(range(n_original)) + anchors],
-        {name: log.values(name)[attribute_rows].tolist() for name in log.schema},
+        {name: log.values(name)[attribute_rows].tolist() for name in log.columns},
         log.objects,
     )
     return contaminated, GroundTruth(labels=dict(zip(ids, labels)))

@@ -42,7 +42,6 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from enum import Enum
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from typing import NoReturn
@@ -105,11 +104,6 @@ class UnsupportedAttributeValueError(OcelError):
     """An attribute value is neither a number nor text."""
 
 
-class AttributeKind(str, Enum):
-    NUMERIC = "numeric"
-    CATEGORICAL = "categorical"
-
-
 @dataclass(frozen=True)
 class Event:
     """A single event: activity, timestamp, object references, attributes.
@@ -140,9 +134,10 @@ class ObjectCentricLog:
     and timestamp ``timestamps[i]`` (int64 milliseconds since the Unix epoch,
     UTC, within the years 1 to 9999). Its objects are ``ref_objects[ref_indptr[i]:ref_indptr[i + 1]]``,
     indices into ``objects`` ordered by object id. ``columns`` holds one
-    array per attribute of ``schema``: float64 with NaN for a missing numeric
-    value, or int64 codes into the sorted ``vocabularies[name]`` with -1 for
-    a missing categorical value. All three mappings are in name order.
+    array per attribute: float64 with NaN for a missing numeric value, or,
+    for a categorical attribute, int64 codes into the sorted
+    ``vocabularies[name]`` with -1 for a missing value. An attribute is
+    categorical iff ``vocabularies`` has it. Both mappings are in name order.
     Immutable after construction; safe to share across threads for reading.
     """
 
@@ -154,7 +149,6 @@ class ObjectCentricLog:
     ref_objects: np.ndarray
     objects: tuple[ObjectEntry, ...]
     object_types: frozenset[str]
-    schema: Mapping[str, AttributeKind]
     columns: Mapping[str, np.ndarray]
     vocabularies: Mapping[str, tuple[str, ...]]
 
@@ -210,8 +204,8 @@ class _EventView(Sequence[Event]):
     def _event(self, row: int) -> Event:
         log = self._log
         attributes: dict[str, float | str] = {}
-        for name in log.schema:
-            value = log.columns[name][row]
+        for name, column in log.columns.items():
+            value = column[row]
             if name in log.vocabularies:
                 if value >= 0:
                     attributes[name] = log.vocabularies[name][value]
@@ -321,17 +315,17 @@ def _raise_first_fault(ids: tuple[str, ...], name: str, values: list[object]) ->
         if value is None:
             continue
         numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-        kind = AttributeKind.NUMERIC if numeric else AttributeKind.CATEGORICAL
+        kind = "numeric" if numeric else "categorical"
         if not (numeric and abs(value) <= _MAX_FLOAT or isinstance(value, str)):
             raise UnsupportedAttributeValueError(
                 f"event {ids[row]!r}: attribute {name!r} is {value!r}, "
                 "not a finite float or a string"
             )
         first = first or kind
-        if kind is not first:
+        if kind != first:
             raise InconsistentAttributeKindError(
-                f"attribute {name!r} is {first.value} in one event and "
-                f"{kind.value} in another (event {ids[row]!r})"
+                f"attribute {name!r} is {first} in one event and "
+                f"{kind} in another (event {ids[row]!r})"
             )
 
 
@@ -414,10 +408,6 @@ def _build_log(
         ref_objects=indices,
         objects=objects,
         object_types=frozenset(declared_types) | frozenset(o.object_type for o in objects),
-        schema={
-            name: AttributeKind.CATEGORICAL if name in vocabularies else AttributeKind.NUMERIC
-            for name in columns
-        },
         columns=columns,
         vocabularies=vocabularies,
     )
@@ -504,7 +494,7 @@ def loads_unique(text: str, parse_constant=None) -> object:
 
 
 def assemble_log(events: Sequence[Event], objects: Sequence[ObjectEntry]) -> ObjectCentricLog:
-    """Build a log from parts, deriving type/activity sets and the schema.
+    """Build a log from parts, deriving the type and activity sets and each attribute's kind.
 
     Raises the same typed errors as the parser when the parts are inconsistent.
     """
@@ -531,7 +521,7 @@ def _reject_constant(token: str) -> float:
 def parse_ocel_json(data: bytes | str) -> ObjectCentricLog:
     """Parse an OCEL 1.0 JSON document into a validated log.
 
-    Events retain file order. The attribute schema is inferred from the
+    Events retain file order. Each attribute's kind is inferred from the
     global attribute declarations and the observed values; a JSON null means
     the attribute is absent, and true/false are the categorical values
     "true"/"false". Every failure is one of the typed ``OcelError`` subclasses.
@@ -621,7 +611,8 @@ def _document_parts(doc: object, warnings: list[tuple[object, ...]]) -> tuple[in
         if object_type in undeclared
     )
     objects = list(map(ObjectEntry, object_ids, object_types))
-    counted += len(objects_raw) + sum(map(len, bodies)) + _other_members(bodies, ("ocel:type",))
+    counted += len(objects_raw) + sum(map(len, bodies))
+    counted += _other_members(bodies, "object", _OBJECT_FIELDS, warnings)
 
     events_raw = doc.get("ocel:events", {})
     if not isinstance(events_raw, dict):
@@ -640,7 +631,7 @@ def _document_parts(doc: object, warnings: list[tuple[object, ...]]) -> tuple[in
         _raise_event_fault(ids, bodies)
     timestamps = parse_timestamps(stamps)  # all text, so the first bad one is the fault
     counted += len(events_raw) + sum(map(len, bodies)) + sum(map(len, vmaps))
-    counted += _other_members(bodies, _EVENT_FIELDS)
+    counted += _other_members(bodies, "event", _EVENT_FIELDS, warnings)
 
     refs = list(chain.from_iterable(omaps))
     if not _only(refs, str):
@@ -664,6 +655,7 @@ def _document_parts(doc: object, warnings: list[tuple[object, ...]]) -> tuple[in
     return counted, parts
 
 
+_OBJECT_FIELDS = ("ocel:type",)
 _EVENT_FIELDS = ("ocel:activity", "ocel:timestamp", "ocel:omap", "ocel:vmap")
 
 
@@ -671,10 +663,25 @@ def _only(values: Iterable[object], kind: type) -> bool:
     return set(map(type, values)) <= {kind}
 
 
-def _other_members(bodies: list[dict], known: tuple[str, ...]) -> int:
-    """How many members the JSON objects held under ``bodies``' keys outside ``known`` hold."""
-    other = set().union(*bodies).difference(known)
-    return _members([body[key] for key in other for body in bodies if key in body])
+def _other_members(
+    bodies: list[dict], what: str, known: tuple[str, ...], warnings: list[tuple[object, ...]]
+) -> int:
+    """How many members the JSON objects held under ``bodies``' keys outside ``known`` hold.
+
+    The reader drops what these keys hold. Each key other than an object's
+    ``ocel:ovmap`` is appended to ``warnings`` once, in name order, and the
+    ovmaps once if any of them holds a member: object attributes are not
+    modeled.
+    """
+    total = 0
+    for key in sorted(set().union(*bodies).difference(known)):
+        members = _members([body[key] for body in bodies if key in body])
+        if (what, key) != ("object", "ocel:ovmap"):
+            warnings.append((f"ignoring unknown {what} key %r", key))
+        elif members:
+            warnings.append(("ignoring the ocel:ovmap attributes of objects",))
+        total += members
+    return total
 
 
 def _raise_object_fault(
@@ -721,7 +728,7 @@ def write_ocel_json(log: ObjectCentricLog) -> bytes:
     refs = object_ids[log.ref_objects].tolist()
     bounds = log.ref_indptr.tolist()
     activities = [quote(a) for a in log.activity_vocabulary]
-    members = [_vmap_members(log, name) for name in log.schema]
+    members = [_vmap_members(log, name) for name in log.columns]
     rows = zip(*members) if members else repeat(())
     events = [
         f"{quote(event_id)}: {{\n"
@@ -747,7 +754,7 @@ def write_ocel_json(log: ObjectCentricLog) -> bytes:
         for o in log.objects
     ]
     object_types = json_block([quote(t) for t in sorted(log.object_types)], "    ", "[]")
-    attribute_names = json_block([quote(a) for a in sorted(log.schema)], "    ", "[]")
+    attribute_names = json_block([quote(a) for a in sorted(log.columns)], "    ", "[]")
     text = (
         "{\n"
         '  "ocel:global-log": {\n'

@@ -228,4 +228,5 @@ def assert_logs_equal(a: ObjectCentricLog, b: ObjectCentricLog) -> None:
     ]
     assert a.object_types == b.object_types
     assert a.activities == b.activities
-    assert dict(a.schema) == dict(b.schema)
+    assert list(a.columns) == list(b.columns)
+    assert dict(a.vocabularies) == dict(b.vocabularies)

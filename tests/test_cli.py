@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ocelad
 import ocelad.autoencoder as autoencoder
 import ocelad.cli as cli
 from ocelad.autoencoder import NonFiniteLossError, train
@@ -77,13 +79,6 @@ class TestGenerate:
         n_flag = len(parse_ocel_json(flag_wins.read_bytes()).events)
         assert n_flag > n_config
 
-    def test_infinite_mean_step_is_config_error(self, tmp_path, capsys):
-        path = tmp_path / "log.jsonocel"
-        args = ["generate", "--orders", "2", "--mean-step-minutes", "inf", "-o", str(path)]
-        assert run(args) == 2
-        assert "mean_step_minutes" in capsys.readouterr().err
-        assert not path.exists()
-
     def test_config_may_hold_other_commands_settings(self, tmp_path):
         config = tmp_path / "settings.json"
         config.write_text(json.dumps({"orders": 2, "epochs": 3, "rate": 0.2}))
@@ -135,6 +130,17 @@ class TestInject:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_truth_on_the_output_path_exits_before_reading_the_log(
+        self, tmp_path, small_log_path, monkeypatch, capsys
+    ):
+        # The truth CSV would replace the contaminated log.
+        monkeypatch.setattr(cli, "parse_ocel_json", lambda data: pytest.fail("parsed"))
+        out = tmp_path / "dirty.jsonocel"
+        args = ["inject", "-i", str(small_log_path), "-o", str(out), "--truth", str(out)]
+        assert run(args) == 2
+        assert "are one file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_injection_exit_code(self, tmp_path):
         rows = [(f"e{i:02d}", "act", i, ["hub"], {"x": 1.0}) for i in range(34)]
         log = make_log(rows, {"hub": "T"})
@@ -184,8 +190,28 @@ class TestDetect:
 
     def test_non_finite_k_factor_is_config_error(self, tmp_path, small_log_path, monkeypatch):
         monkeypatch.setattr(autoencoder, "train", lambda graph, config: pytest.fail("trained"))
+        monkeypatch.setattr(cli, "parse_ocel_json", lambda data: pytest.fail("parsed"))
         args = self.detect_args(small_log_path, tmp_path / "r.json") + ["--k-factor", "nan"]
         assert run(args) == 2
+        assert not (tmp_path / "r.json").exists()
+
+    def test_report_named_like_its_csv_exits_before_reading_the_log(
+        self, tmp_path, small_log_path, monkeypatch, capsys
+    ):
+        # The CSV beside report.csv is report.csv itself: it would overwrite the JSON.
+        monkeypatch.setattr(cli, "parse_ocel_json", lambda data: pytest.fail("parsed"))
+        out = tmp_path / "report.csv"
+        assert run(self.detect_args(small_log_path, out)) == 2
+        assert "are one file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, small_log_path, monkeypatch, capsys):
+        def exhaust(log):
+            raise MemoryError("Unable to allocate 61.6 GiB for an array")
+
+        monkeypatch.setattr(autoencoder, "encode_log", exhaust)
+        assert run(self.detect_args(small_log_path, tmp_path / "r.json")) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 61.6 GiB for an array\n"
         assert not (tmp_path / "r.json").exists()
 
     def test_negative_seed_exits_before_reading_the_log(self, tmp_path, monkeypatch, capsys):
@@ -517,7 +543,7 @@ class TestSurface:
     OPTIONS = {
         "generate": [
             "--config", "--group-max", "--group-min", "--help", "--items-max", "--items-min",
-            "--mean-step-minutes", "--orders", "--output", "--seed", "-h", "-o",
+            "--orders", "--output", "--seed", "-h", "-o",
         ],
         "inject": [
             "--config", "--help", "--input", "--output", "--rate", "--seed", "--truth",
@@ -531,8 +557,7 @@ class TestSurface:
         "pipeline": [
             "--config", "--epochs", "--group-max", "--group-min", "--help", "--hidden1",
             "--hidden2", "--items-max", "--items-min", "--k-factor", "--lr",
-            "--mean-step-minutes", "--orders", "--output-dir", "--rate",
-            "--repeat", "--seed", "-h", "-o",
+            "--orders", "--output-dir", "--rate", "--repeat", "--seed", "-h", "-o",
         ],
     }
     DEFAULTS = {
@@ -545,7 +570,6 @@ class TestSurface:
         "items_min": 1,
         "k_factor": 1.5,
         "lr": 0.02,
-        "mean_step_minutes": 15.0,
         "orders": 500,
         "rate": 0.1,
         "repeat": 1,
@@ -563,6 +587,19 @@ class TestSurface:
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_package_root_exports(self):
+        root = sorted(ocelad.__all__)
+        assert root == [
+            "GenConfig", "GroundTruth", "TrainConfig", "benchmark_config", "compute_metrics",
+            "generate", "inject_all", "parse_ocel_json", "plan_injection", "run_detection",
+            "write_ocel_json",
+        ]
+        assert all(getattr(ocelad, name, None) is not None for name in root)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        block = re.search(r"from ocelad import \(([^)]*)\)", readme)
+        imported = [name.strip() for name in block.group(1).split(",") if name.strip()]
+        assert imported and set(imported) <= set(root)
 
     def test_readme_settings_table(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"

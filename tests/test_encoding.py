@@ -20,7 +20,7 @@ from ocelad.encoding import (
 from ocelad.generator import GenConfig, generate
 from ocelad.instances import ProcessInstance, ProcessInstanceSet, build_instances
 from ocelad.numerics import make_rng
-from ocelad.ocel import AttributeKind, Event, ObjectEntry, assemble_log
+from ocelad.ocel import Event, ObjectEntry, assemble_log
 
 from conftest import make_log, random_log
 
@@ -100,11 +100,11 @@ def reference_build_layout(log):
     groups = [FeatureGroup("activity", GroupKind.ACTIVITY, 0, len(activities), activities)]
     column = len(activities)
     events = log.events
-    for name in sorted(n for n, kind in log.schema.items() if kind is AttributeKind.CATEGORICAL):
+    for name in sorted(log.vocabularies):
         values = tuple(sorted({e.attributes[name] for e in events if name in e.attributes}))
         groups.append(FeatureGroup(name, GroupKind.CATEGORICAL, column, column + len(values) + 1, values))
         column += len(values) + 1
-    for name in sorted(n for n, kind in log.schema.items() if kind is AttributeKind.NUMERIC):
+    for name in sorted(set(log.columns) - set(log.vocabularies)):
         observed = [e.attributes[name] for e in events if name in e.attributes]
         low, high = (min(observed), max(observed)) if observed else (0.0, 0.0)
         groups.append(FeatureGroup(name, GroupKind.NUMERIC, column, column + 1, (), low, high))

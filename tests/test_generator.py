@@ -1,10 +1,11 @@
-"""Synthetic log generator: structure, determinism, attribute schema."""
+"""Synthetic log generator: structure, determinism, attribute kinds."""
 
+import numpy as np
 import pytest
 
 from ocelad.generator import GenConfig, PRIORITIES, REGIONS, benchmark_config, generate
 from ocelad.instances import build_instances
-from ocelad.ocel import AttributeKind, parse_ocel_json, write_ocel_json
+from ocelad.ocel import parse_ocel_json, write_ocel_json
 
 
 class TestShape:
@@ -79,12 +80,9 @@ class TestDeterminism:
 class TestAttributes:
     def test_schema(self):
         log = generate(GenConfig(n_orders=10, seed=2))
-        assert dict(log.schema) == {
-            "price": AttributeKind.NUMERIC,
-            "weight": AttributeKind.NUMERIC,
-            "priority": AttributeKind.CATEGORICAL,
-            "region": AttributeKind.CATEGORICAL,
-        }
+        assert list(log.columns) == ["price", "priority", "region", "weight"]
+        assert list(log.vocabularies) == ["priority", "region"]
+        assert log.columns["price"].dtype == log.columns["weight"].dtype == np.float64
 
     def test_categorical_vocabularies(self):
         log = generate(GenConfig(n_orders=60, seed=3))
@@ -118,7 +116,6 @@ class TestConfigValidation:
             {"items_per_order": (0, 2)},
             {"items_per_order": (3, 1)},
             {"orders_per_package": (2, 1)},
-            {"mean_step_minutes": 0.0},
         ],
     )
     def test_rejects_bad_config(self, kwargs):

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import ocelad.ocel as ocel
 from ocelad.ocel import (
     _KNOWN_TOP_KEYS,
-    AttributeKind,
     DanglingObjectRefError,
     DuplicateIdError,
     Event,
@@ -77,7 +76,7 @@ def reference_document(log):
     return {
         "ocel:global-log": {
             "ocel:object-types": sorted(log.object_types),
-            "ocel:attribute-names": sorted(log.schema),
+            "ocel:attribute-names": sorted(log.columns),
         },
         "ocel:events": {
             e.event_id: {
@@ -94,8 +93,9 @@ def reference_document(log):
     }
 
 
-# The parser before the hook-free decode, kept verbatim as the oracle of the
-# current one: the same log, or the same exception type and message.
+# The parser before the hook-free decode, kept as the oracle of the current one:
+# the same log, or the same exception type and message, and the same warnings.
+# Since then it only gained the warnings about dropped event and object keys.
 def reference_parse_ocel_json(data):
     """Parse an OCEL 1.0 JSON document into a validated log.
 
@@ -153,6 +153,11 @@ def reference_parse_ocel_json(data):
                 "object %r has undeclared type %r", object_id, object_type
             )
         objects.append(ObjectEntry(object_id=object_id, object_type=object_type))
+    for key in sorted(set().union(*objects_raw.values()) - {"ocel:type"}):
+        if key != "ocel:ovmap":
+            logger.warning("ignoring unknown object key %r", key)
+        elif any(json_members(body.get(key)) for body in objects_raw.values()):
+            logger.warning("ignoring the ocel:ovmap attributes of objects")
 
     events_raw = doc.get("ocel:events", {})
     if not isinstance(events_raw, dict):
@@ -177,6 +182,10 @@ def reference_parse_ocel_json(data):
         activities.append(activity)
         omaps.append(omap)
         vmaps.append(vmap)
+
+    fields = {"ocel:activity", "ocel:timestamp", "ocel:omap", "ocel:vmap"}
+    for key in sorted(set().union(*events_raw.values()) - fields):
+        logger.warning("ignoring unknown event key %r", key)
 
     ids = list(events_raw)
     refs = list(chain.from_iterable(omaps))
@@ -204,10 +213,19 @@ def reference_parse_ocel_json(data):
     )
 
 
+def json_members(value):
+    """How many members the JSON objects in a decoded value hold, at every depth."""
+    if isinstance(value, dict):
+        return len(value) + sum(map(json_members, value.values()))
+    if isinstance(value, list):
+        return sum(map(json_members, value))
+    return 0
+
+
 def reference_events(log):
     """``log.events`` as the tuple the columnar log first rebuilt on every access."""
     attributes = [{} for _ in log.ids]
-    for name in log.schema:
+    for name in log.columns:
         for row, value in zip(attributes, log.values(name).tolist()):
             if value is not None:
                 row[name] = value
@@ -275,7 +293,7 @@ def logs(draw):
     return assemble_log(events, objects)
 
 
-def reference_infer_schema(events):
+def reference_attribute_kinds(events):
     """Attribute kinds from a scan of every event's attribute map, integers taken as floats.
 
     Raises at the first value, in event order, that is invalid or of the
@@ -291,14 +309,27 @@ def reference_infer_schema(events):
                 except OverflowError:
                     value = math.inf
             if isinstance(value, float) and math.isfinite(value):
-                kind = AttributeKind.NUMERIC
+                kind = "numeric"
             elif isinstance(value, str):
-                kind = AttributeKind.CATEGORICAL
+                kind = "categorical"
             else:
                 raise UnsupportedAttributeValueError(name)
-            if kinds.setdefault(name, kind) is not kind:
+            if kinds.setdefault(name, kind) != kind:
                 raise InconsistentAttributeKindError(name)
     return {name: kinds[name] for name in sorted(kinds)}
+
+
+def attribute_kinds(log):
+    """Each attribute's kind as the log records it: categorical iff it has a vocabulary.
+
+    A categorical attribute's column holds int64 codes, a numeric one's float64 values.
+    """
+    assert set(log.vocabularies) <= set(log.columns)
+    return {
+        name: "categorical" if name in log.vocabularies else "numeric"
+        for name, column in log.columns.items()
+        if column.dtype == (np.int64 if name in log.vocabularies else np.float64)
+    }
 
 
 def doc_with(events=None, objects=None, types=("A",), attrs=()):
@@ -326,17 +357,14 @@ class TestParse:
         log = parse_ocel_json(json.dumps(doc_with()).encode())
         assert log.events == ()
         assert log.objects == ()
-        assert dict(log.schema) == {}
+        assert attribute_kinds(log) == {}
 
     def test_golden_counts(self, golden_log):
         assert len(golden_log.events) == 8
         assert len(golden_log.objects) == 6
         assert golden_log.object_types == frozenset({"A", "B"})
         assert golden_log.activities == frozenset({f"act{i}" for i in range(1, 6)})
-        assert dict(golden_log.schema) == {
-            "Attr1": AttributeKind.NUMERIC,
-            "Attr2": AttributeKind.NUMERIC,
-        }
+        assert attribute_kinds(golden_log) == {"Attr1": "numeric", "Attr2": "numeric"}
 
     def test_events_retain_file_order(self, golden_log):
         assert [e.event_id for e in golden_log.events] == [f"e{i}" for i in range(1, 9)]
@@ -454,7 +482,7 @@ class TestParse:
         )
         log = parse_ocel_json(json.dumps(doc).encode())
         assert log.events[0].attributes["flag"] == "true"
-        assert log.schema["flag"] is AttributeKind.CATEGORICAL
+        assert attribute_kinds(log) == {"flag": "categorical"}
 
     def test_null_attribute_means_absent(self):
         doc = doc_with(
@@ -472,7 +500,7 @@ class TestParse:
             attrs=["ghost"],
         )
         log = parse_ocel_json(json.dumps(doc).encode())
-        assert log.schema["ghost"] is AttributeKind.CATEGORICAL
+        assert attribute_kinds(log) == {"ghost": "categorical"}
 
     def test_unknown_top_level_key_warns(self, caplog):
         doc = doc_with(objects={"o1": {"ocel:type": "A"}})
@@ -480,6 +508,30 @@ class TestParse:
         with caplog.at_level(logging.WARNING, logger="ocelad.ocel"):
             parse_ocel_json(json.dumps(doc).encode())
         assert any("surprise" in record.message for record in caplog.records)
+
+    def test_dropped_event_and_object_keys_warn_once_per_name(self, caplog):
+        events = {
+            "e1": {**event_body(), "note": "x", "ocel:typo": 1},
+            "e2": {**event_body(), "note": "y"},
+        }
+        objects = {
+            "o1": {"ocel:type": "A", "ocel:ovmap": {"color": "red", "size": 3}, "extra": []},
+            "o2": {"ocel:type": "A", "ocel:ovmap": {"color": "blue"}},
+        }
+        with caplog.at_level(logging.WARNING, logger="ocelad.ocel"):
+            log = parse_ocel_json(json.dumps(doc_with(events=events, objects=objects)).encode())
+        assert [record.getMessage() for record in caplog.records] == [
+            "ignoring unknown object key 'extra'",
+            "ignoring the ocel:ovmap attributes of objects",
+            "ignoring unknown event key 'note'",
+            "ignoring unknown event key 'ocel:typo'",
+        ]
+        assert len(log.events) == 2
+
+    def test_written_log_reads_back_without_warnings(self, golden_log, caplog):
+        with caplog.at_level(logging.WARNING, logger="ocelad.ocel"):
+            parse_ocel_json(write_ocel_json(golden_log))
+        assert caplog.records == []
 
     def test_undeclared_object_type_accepted_with_warning(self, caplog):
         doc = doc_with(objects={"o1": {"ocel:type": "Mystery"}}, types=["A"])
@@ -601,8 +653,7 @@ class TestRoundTrip:
         )
         again = parse_ocel_json(write_ocel_json(log))
         assert_logs_equal(again, log)
-        assert again.schema["price"] is AttributeKind.NUMERIC
-        assert again.schema["color"] is AttributeKind.CATEGORICAL
+        assert attribute_kinds(again) == {"color": "categorical", "price": "numeric"}
 
     def test_write_deterministic(self, golden_log):
         assert write_ocel_json(golden_log) == write_ocel_json(golden_log)
@@ -725,13 +776,13 @@ class TestAssemble:
             for i, (x, y, suffix) in enumerate(rows)
         ]
         try:
-            expected = reference_infer_schema(events)
+            expected = reference_attribute_kinds(events)
         except (UnsupportedAttributeValueError, InconsistentAttributeKindError) as error:
             with pytest.raises(type(error)):
                 assemble_log(events, [ObjectEntry("o1", "T")])
             return
         log = assemble_log(events, [ObjectEntry("o1", "T")])
-        assert dict(log.schema) == expected
+        assert attribute_kinds(log) == expected
         for event, again in zip(events, log.events):
             coerced = {name: float(value) if isinstance(value, int) else value
                        for name, value in event.attributes.items()}
@@ -760,7 +811,7 @@ class TestAssemble:
         )
         assert log.events[0].attributes["x"] == 3.0
         assert isinstance(log.events[0].attributes["x"], float)
-        assert log.schema["x"] is AttributeKind.NUMERIC
+        assert attribute_kinds(log) == {"x": "numeric"}
 
 
 class Members(list):
