@@ -121,10 +121,13 @@ def _gen_config(settings: dict) -> GenConfig:
     )
 
 
-def _distinct_outputs(*paths: Path) -> None:
-    """Raise unless ``paths`` name different files, so that no output overwrites another."""
-    if len({path.resolve() for path in paths}) < len(paths):
-        raise ValueError(f"outputs {', '.join(map(str, paths))} are one file")
+def _distinct_files(*paths: Path) -> None:
+    """Raise unless ``paths`` name different files, so that no output overwrites an input."""
+    seen: dict[Path, Path] = {}
+    for path in paths:
+        first = seen.setdefault(path.resolve(), path)
+        if first is not path:
+            raise ValueError(f"{first} and {path} are one file")
 
 
 def _generate_into(path: Path, config: GenConfig) -> ObjectCentricLog:
@@ -178,7 +181,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     validate_plan(rate, seed)
     output = Path(args.output)
     truth_path = Path(args.truth) if args.truth else output.with_suffix(".truth.csv")
-    _distinct_outputs(output, truth_path)
+    _distinct_files(Path(args.input), output, truth_path)
     log = parse_ocel_json(Path(args.input).read_bytes())
     plan, contaminated, _ = _inject_into(output, truth_path, log, rate, seed)
     print(
@@ -194,7 +197,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     config = _train_config(settings, settings["seed"])
     validate_k_factor(settings["k_factor"])
     output = Path(args.output)
-    _distinct_outputs(output, output.with_suffix(".csv"))
+    _distinct_files(Path(args.input), output, output.with_suffix(".csv"))
     log = parse_ocel_json(Path(args.input).read_bytes())
     report = _detect_into(output, log, config, settings)
     n_anomalous = int(report.labels.sum())
@@ -221,12 +224,16 @@ def _write_metrics(named: list[tuple[str, MetricsBlock]], output: Path | None) -
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    output = Path(args.output) if args.output else None
+    if output is not None:
+        for source in (args.truth, *args.report):
+            _distinct_files(Path(source), output)
     truth = GroundTruth.from_csv(Path(args.truth).read_text(encoding="utf-8"))
     named: list[tuple[str, MetricsBlock]] = []
     for report_path in args.report:
         report = report_from_json(Path(report_path).read_text(encoding="utf-8"))
         named.append((Path(report_path).name, _join_metrics(report, truth)))
-    _write_metrics(named, Path(args.output) if args.output else None)
+    _write_metrics(named, output)
     return 0
 
 

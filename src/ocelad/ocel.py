@@ -612,7 +612,7 @@ def _document_parts(doc: object, warnings: list[tuple[object, ...]]) -> tuple[in
     )
     objects = list(map(ObjectEntry, object_ids, object_types))
     counted += len(objects_raw) + sum(map(len, bodies))
-    counted += _other_members(bodies, "object", _OBJECT_FIELDS, warnings)
+    counted += _other_members(object_ids, bodies, "object", _OBJECT_FIELDS, warnings)
 
     events_raw = doc.get("ocel:events", {})
     if not isinstance(events_raw, dict):
@@ -631,7 +631,7 @@ def _document_parts(doc: object, warnings: list[tuple[object, ...]]) -> tuple[in
         _raise_event_fault(ids, bodies)
     timestamps = parse_timestamps(stamps)  # all text, so the first bad one is the fault
     counted += len(events_raw) + sum(map(len, bodies)) + sum(map(len, vmaps))
-    counted += _other_members(bodies, "event", _EVENT_FIELDS, warnings)
+    counted += _other_members(ids, bodies, "event", _EVENT_FIELDS, warnings)
 
     refs = list(chain.from_iterable(omaps))
     if not _only(refs, str):
@@ -664,19 +664,29 @@ def _only(values: Iterable[object], kind: type) -> bool:
 
 
 def _other_members(
-    bodies: list[dict], what: str, known: tuple[str, ...], warnings: list[tuple[object, ...]]
+    ids: list[str],
+    bodies: list[dict],
+    what: str,
+    known: tuple[str, ...],
+    warnings: list[tuple[object, ...]],
 ) -> int:
     """How many members the JSON objects held under ``bodies``' keys outside ``known`` hold.
 
     The reader drops what these keys hold. Each key other than an object's
     ``ocel:ovmap`` is appended to ``warnings`` once, in name order, and the
     ovmaps once if any of them holds a member: object attributes are not
-    modeled.
+    modeled. An ovmap that is not a JSON object is an error, raised for the
+    first such object in file order after the warnings of the keys before it.
     """
     total = 0
     for key in sorted(set().union(*bodies).difference(known)):
-        members = _members([body[key] for body in bodies if key in body])
-        if (what, key) != ("object", "ocel:ovmap"):
+        values = [body[key] for body in bodies if key in body]
+        ovmap = (what, key) == ("object", "ocel:ovmap")
+        if ovmap and not _only(values, dict):
+            row = next(i for i, body in enumerate(bodies) if type(body.get(key, {})) is not dict)
+            raise MalformedDocumentError(f"object {ids[row]!r}: ocel:ovmap must be an object")
+        members = _members(values)
+        if not ovmap:
             warnings.append((f"ignoring unknown {what} key %r", key))
         elif members:
             warnings.append(("ignoring the ocel:ovmap attributes of objects",))

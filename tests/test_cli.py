@@ -141,6 +141,20 @@ class TestInject:
         assert "are one file" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["-o", "--truth"])
+    def test_output_on_the_input_path_exits_before_reading_the_log(
+        self, tmp_path, small_log_path, monkeypatch, capsys, target
+    ):
+        monkeypatch.setattr(cli, "parse_ocel_json", lambda data: pytest.fail("parsed"))
+        clean = small_log_path.read_bytes()
+        outputs = {"-o": str(tmp_path / "dirty.jsonocel"), "--truth": str(tmp_path / "t.csv")}
+        outputs[target] = str(small_log_path)
+        args = ["inject", "-i", str(small_log_path)]
+        assert run(args + [arg for pair in outputs.items() for arg in pair]) == 2
+        assert "are one file" in capsys.readouterr().err
+        assert small_log_path.read_bytes() == clean
+        assert list(tmp_path.iterdir()) == [small_log_path]
+
     def test_infeasible_injection_exit_code(self, tmp_path):
         rows = [(f"e{i:02d}", "act", i, ["hub"], {"x": 1.0}) for i in range(34)]
         log = make_log(rows, {"hub": "T"})
@@ -204,6 +218,22 @@ class TestDetect:
         assert run(self.detect_args(small_log_path, out)) == 2
         assert "are one file" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "log_name, report_name",
+        # The report itself, or the CSV written beside it, would replace the log.
+        [("log.jsonocel", "log.jsonocel"), ("x.csv", "x.json")],
+    )
+    def test_output_on_the_input_path_exits_before_reading_the_log(
+        self, tmp_path, small_log_path, monkeypatch, capsys, log_name, report_name
+    ):
+        monkeypatch.setattr(cli, "parse_ocel_json", lambda data: pytest.fail("parsed"))
+        log_path = small_log_path.rename(tmp_path / log_name)
+        clean = log_path.read_bytes()
+        assert run(self.detect_args(log_path, tmp_path / report_name)) == 2
+        assert "are one file" in capsys.readouterr().err
+        assert log_path.read_bytes() == clean
+        assert list(tmp_path.iterdir()) == [log_path]
 
     def test_out_of_memory_is_one_error_line(self, tmp_path, small_log_path, monkeypatch, capsys):
         def exhaust(log):
@@ -342,6 +372,16 @@ class TestEvaluate:
         doc = json.loads((tmp_path / "m.json").read_text())
         assert doc["mean"]["f1"] == 1.0
         assert doc["std"]["f1"] == 0.0
+
+    @pytest.mark.parametrize("target", ["truth", "report"])
+    def test_metrics_on_an_input_path_exits_before_reading(self, tmp_path, capsys, target):
+        report_path, truth_path = write_perfect_run(tmp_path)
+        inputs = {"truth": truth_path, "report": report_path}
+        before = {path: path.read_bytes() for path in inputs.values()}
+        args = ["evaluate", "--report", str(report_path), "--truth", str(truth_path)]
+        assert run(args + ["-o", str(inputs[target])]) == 2
+        assert "are one file" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in inputs.values()} == before
 
     def test_repeated_event_id_exit_code(self, tmp_path, capsys):
         # "e1" listed twice in place of "e2" covers the same id set as the

@@ -2,10 +2,129 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ocelad.generator import GenConfig, PRIORITIES, REGIONS, benchmark_config, generate
+from ocelad.generator import (
+    DEFAULT_BASE_TIME,
+    GenConfig,
+    PRIORITIES,
+    REGIONS,
+    _MEAN_STEP_MS,
+    _PRICE_RANGE,
+    _PRICE_WOBBLE,
+    _WEIGHT_RANGE,
+    _WEIGHT_WOBBLE,
+    benchmark_config,
+    generate,
+)
 from ocelad.instances import build_instances
-from ocelad.ocel import parse_ocel_json, write_ocel_json
+from ocelad.numerics import make_rng
+from ocelad.ocel import (
+    Event,
+    ObjectCentricLog,
+    ObjectEntry,
+    assemble_log,
+    parse_ocel_json,
+    write_ocel_json,
+)
+
+
+def reference_generate(config: GenConfig) -> ObjectCentricLog:
+    """The generator as one ``Event`` per event, each drawn where it is emitted: the oracle."""
+    rng = make_rng(config.seed)
+
+    clock = DEFAULT_BASE_TIME
+    events: list[Event] = []
+    objects: list[ObjectEntry] = []
+    package_counter = 0
+
+    def tick() -> int:
+        nonlocal clock
+        clock += max(1, int(round(rng.exponential(_MEAN_STEP_MS))))
+        return clock
+
+    def emit(activity: str, refs: set[str], region: str, priority: str,
+             price: float, weight: float) -> None:
+        events.append(
+            Event(
+                event_id=f"ev{len(events) + 1:06d}",
+                activity=activity,
+                timestamp=tick(),
+                object_refs=frozenset(refs),
+                attributes={
+                    "price": round(price + float(rng.uniform(-_PRICE_WOBBLE, _PRICE_WOBBLE)), 2),
+                    "weight": round(weight + float(rng.uniform(-_WEIGHT_WOBBLE, _WEIGHT_WOBBLE)), 2),
+                    "priority": priority,
+                    "region": region,
+                },
+            )
+        )
+
+    order_index = 0
+    while order_index < config.n_orders:
+        group_size = int(
+            rng.integers(config.orders_per_package[0], config.orders_per_package[1] + 1)
+        )
+        group_size = min(group_size, config.n_orders - order_index)
+        package_counter += 1
+        package_id = f"pkg_{package_counter:05d}"
+        region = REGIONS[int(rng.integers(0, len(REGIONS)))]
+        priority = PRIORITIES[int(rng.integers(0, len(PRIORITIES)))]
+        price = float(rng.uniform(*_PRICE_RANGE))
+        weight = float(rng.uniform(*_WEIGHT_RANGE))
+        group_items: list[str] = []
+
+        for _ in range(group_size):
+            order_index += 1
+            order_id = f"order_{order_index:05d}"
+            objects.append(ObjectEntry(object_id=order_id, object_type="order"))
+
+            n_items = int(
+                rng.integers(config.items_per_order[0], config.items_per_order[1] + 1)
+            )
+            item_ids = [f"item_{order_index:05d}_{j + 1}" for j in range(n_items)]
+            for item_id in item_ids:
+                objects.append(ObjectEntry(object_id=item_id, object_type="item"))
+            group_items.extend(item_ids)
+
+            emit("place_order", {order_id, *item_ids}, region, priority, price, weight)
+            for item_id in item_ids:
+                emit("pick_item", {order_id, item_id}, region, priority, price, weight)
+
+        objects.append(ObjectEntry(object_id=package_id, object_type="package"))
+        emit("pack_items", {package_id, *group_items}, region, priority, price, weight)
+        emit("ship_package", {package_id}, region, priority, price, weight)
+
+    return assemble_log(events, objects)
+
+
+ranges = st.tuples(st.integers(1, 9), st.integers(1, 9)).map(sorted).map(tuple)
+configs = st.builds(
+    GenConfig,
+    n_orders=st.integers(1, 150),
+    items_per_order=ranges,
+    orders_per_package=ranges,
+    seed=st.integers(min_value=0),
+)
+
+
+class TestOracle:
+    @settings(deadline=None, max_examples=200)
+    @given(configs)
+    def test_matches_the_event_generator(self, config):
+        expected = reference_generate(config)
+        log = generate(config)
+        assert log == expected
+        assert write_ocel_json(log) == write_ocel_json(expected)
+
+    @pytest.mark.parametrize("seed", [0, 11, 57])
+    def test_matches_on_the_benchmark_shape(self, seed):
+        config = benchmark_config(320, seed)
+        expected = reference_generate(config)
+        log = generate(config)
+        assert log == expected
+        assert write_ocel_json(log) == write_ocel_json(expected)
 
 
 class TestShape:

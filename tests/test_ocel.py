@@ -156,7 +156,11 @@ def reference_parse_ocel_json(data):
     for key in sorted(set().union(*objects_raw.values()) - {"ocel:type"}):
         if key != "ocel:ovmap":
             logger.warning("ignoring unknown object key %r", key)
-        elif any(json_members(body.get(key)) for body in objects_raw.values()):
+            continue
+        for object_id, body in objects_raw.items():
+            if not isinstance(body.get(key, {}), dict):
+                raise MalformedDocumentError(f"object {object_id!r}: ocel:ovmap must be an object")
+        if any(json_members(body.get(key)) for body in objects_raw.values()):
             logger.warning("ignoring the ocel:ovmap attributes of objects")
 
     events_raw = doc.get("ocel:events", {})
@@ -527,6 +531,20 @@ class TestParse:
             "ignoring unknown event key 'ocel:typo'",
         ]
         assert len(log.events) == 2
+
+    @pytest.mark.parametrize("ovmap", [["red", 3], "x", None, 2])
+    def test_non_object_ovmap_rejected(self, ovmap, caplog):
+        objects = {
+            "o1": {"ocel:type": "A", "ocel:ovmap": {"color": "red"}, "extra": 1},
+            "o2": {"ocel:type": "A", "ocel:ovmap": ovmap},
+        }
+        with caplog.at_level(logging.WARNING, logger="ocelad.ocel"):
+            with pytest.raises(MalformedDocumentError) as error:
+                parse_ocel_json(json.dumps(doc_with(objects=objects)).encode())
+        assert str(error.value) == "object 'o2': ocel:ovmap must be an object"
+        assert [record.getMessage() for record in caplog.records] == [
+            "ignoring unknown object key 'extra'"
+        ]
 
     def test_written_log_reads_back_without_warnings(self, golden_log, caplog):
         with caplog.at_level(logging.WARNING, logger="ocelad.ocel"):
