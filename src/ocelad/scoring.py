@@ -82,18 +82,13 @@ class DetectionReport:
 
 
 def quantile(values: Sequence[float] | np.ndarray, q: float) -> float:
-    """Quantile by linear interpolation at position (n - 1) * q of the sorted values."""
-    data = np.sort(np.asarray(values, dtype=np.float64))
+    """``np.quantile``: linear interpolation at position (n - 1) * q of the sorted values."""
+    data = np.asarray(values, dtype=np.float64)
     if data.size == 0:
         raise EmptyInputError("cannot take a quantile of no values")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    position = (data.size - 1) * q
-    lower = math.floor(position)
-    if lower >= data.size - 1:
-        return float(data[-1])
-    fraction = position - lower
-    return float(data[lower] + fraction * (data[lower + 1] - data[lower]))
+    return float(np.quantile(data, q))
 
 
 def validate_k_factor(k_factor: float) -> None:
@@ -105,8 +100,10 @@ def validate_k_factor(k_factor: float) -> None:
 def iqr_threshold(scores: Sequence[float] | np.ndarray, k_factor: float = 1.5) -> ThresholdResult:
     """Threshold tau = Q3 + k * (Q3 - Q1) over the score distribution."""
     validate_k_factor(k_factor)
-    q1 = quantile(scores, 0.25)
-    q3 = quantile(scores, 0.75)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.size == 0:
+        raise EmptyInputError("cannot take a quantile of no values")
+    q1, q3 = np.quantile(scores, [0.25, 0.75]).tolist()
     iqr = q3 - q1
     return ThresholdResult(q1=q1, q3=q3, iqr=iqr, tau=q3 + k_factor * iqr, k_factor=k_factor)
 

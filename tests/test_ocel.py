@@ -53,8 +53,8 @@ def reference_format_timestamp(millis):
     return (epoch + timedelta(milliseconds=int(millis))).isoformat(timespec="milliseconds")
 
 
-def reference_parse_timestamp(text):
-    """One timestamp parsed through ``datetime``, as the reader once parsed each."""
+def reference_moment(text):
+    """One timestamp parsed through ``datetime``, a time without a zone taken as UTC."""
     normalized = text.strip()
     if normalized.endswith(("Z", "z")):
         normalized = normalized[:-1] + "+00:00"
@@ -64,11 +64,22 @@ def reference_parse_timestamp(text):
         raise InvalidTimestampError(f"not an ISO-8601 timestamp: {text!r}") from exc
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    delta = dt - datetime(1970, 1, 1, tzinfo=timezone.utc)
+    return dt
+
+
+def reference_parse_timestamp(text):
+    """One timestamp in milliseconds since the epoch, as the reader once parsed each."""
+    delta = reference_moment(text) - datetime(1970, 1, 1, tzinfo=timezone.utc)
     millis = delta.days * 86_400_000 + delta.seconds * 1000 + delta.microseconds // 1000
     if not FIRST_MILLIS <= millis <= LAST_MILLIS:
         raise InvalidTimestampError(f"timestamp outside the years 1 to 9999 in UTC: {text!r}")
     return millis
+
+
+def reference_truncates(text):
+    """Whether the time ``text`` names lies between two milliseconds."""
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    return reference_moment(text) != epoch + timedelta(milliseconds=reference_parse_timestamp(text))
 
 
 def reference_document(log):
@@ -166,7 +177,7 @@ def reference_parse_ocel_json(data):
     events_raw = doc.get("ocel:events", {})
     if not isinstance(events_raw, dict):
         raise MalformedDocumentError("'ocel:events' must be an object")
-    activities, timestamps, omaps, vmaps = [], [], [], []
+    activities, timestamps, omaps, vmaps, truncated = [], [], [], [], []
     for event_id, body in events_raw.items():
         if not isinstance(body, dict):
             raise MalformedDocumentError(f"event {event_id!r} must be an object")
@@ -177,6 +188,8 @@ def reference_parse_ocel_json(data):
         if not isinstance(ts_raw, str):
             raise MissingFieldError(f"event {event_id!r}: missing ocel:timestamp")
         timestamps.append(reference_parse_timestamp(ts_raw))
+        if reference_truncates(ts_raw):
+            truncated.append(event_id)
         omap = body.get("ocel:omap")
         if not isinstance(omap, list):
             raise MissingFieldError(f"event {event_id!r}: missing ocel:omap")
@@ -187,6 +200,8 @@ def reference_parse_ocel_json(data):
         omaps.append(omap)
         vmaps.append(vmap)
 
+    if truncated:
+        logger.warning("timestamps truncated to milliseconds, first at event %r", truncated[0])
     fields = {"ocel:activity", "ocel:timestamp", "ocel:omap", "ocel:vmap"}
     for key in sorted(set().union(*events_raw.values()) - fields):
         logger.warning("ignoring unknown event key %r", key)
@@ -544,6 +559,23 @@ class TestParse:
         assert str(error.value) == "object 'o2': ocel:ovmap must be an object"
         assert [record.getMessage() for record in caplog.records] == [
             "ignoring unknown object key 'extra'"
+        ]
+
+    def test_sub_millisecond_stamps_truncated_with_one_warning(self, caplog):
+        # Two stamps 0.4 ms apart read as the same millisecond; the one
+        # warning names the first event whose stamp lost digits.
+        events = {
+            "e0": event_body(ts="2023-01-01T00:00:00.122Z"),
+            "e1": event_body(ts="2023-01-01T00:00:00.1231Z"),
+            "e2": event_body(ts="2023-01-01T00:00:00.1235Z"),
+        }
+        objects = {"o1": {"ocel:type": "A"}}
+        with caplog.at_level(logging.WARNING, logger="ocelad.ocel"):
+            log = parse_ocel_json(json.dumps(doc_with(events=events, objects=objects)).encode())
+        base = parse_timestamp("2023-01-01T00:00:00Z")
+        assert log.timestamps.tolist() == [base + 122, base + 123, base + 123]
+        assert [record.getMessage() for record in caplog.records] == [
+            "timestamps truncated to milliseconds, first at event 'e1'"
         ]
 
     def test_written_log_reads_back_without_warnings(self, golden_log, caplog):
@@ -990,8 +1022,10 @@ def ocel_documents(draw):
         )
         events.append((event_id, body(
             ("ocel:activity", pick(["a", "b"], ["", 5, MISSING])),
-            ("ocel:timestamp", pick(["2023-01-01T00:00:00Z", "2023-01-01T01:00:00.5+01:00"],
-                                    ["bad", 7, "0001-01-01T00:30:00+01:00", MISSING])),
+            ("ocel:timestamp", pick(
+                ["2023-01-01T00:00:00Z", "2023-01-01T01:00:00.5+01:00", "2023-01-01T00:00:00.1239Z"],
+                ["bad", 7, "0001-01-01T00:30:00+01:00", MISSING],
+            )),
             ("ocel:omap", pick([omap], [[], ["zz"], [1], [omap[0], omap[0]], "o1", MISSING])),
             ("ocel:vmap", pick([vmap, MISSING], ["v", None])),
             ("extra", draw(st.one_of(st.just(MISSING), small_containers))),
