@@ -26,23 +26,40 @@ single numeric columns.
 
 Training runs in single precision with double-precision master weights
 (the mixed-precision scheme of Micikevicius et al., ICLR 2018): ``train``
-builds a float32 twin of N and X once, copies the float64 weights into three
-float32 buffers before each epoch, and hands the float32 gradients to Adam,
-which updates the float64 weights and moments. The float32 epoch moves half
+builds a float32 twin of each tile's N and X once, copies the float64
+weights into three float32 buffers before each epoch, and hands the float32
+gradients to Adam, which updates the float64 weights and moments. The float32 epoch moves half
 the bytes of a float64 one. The other functions keep their operands'
 precision, so the final reconstruction, the scores and the threshold of
 ``run_detection`` are float64.
 
-Training reuses one ``Workspace``, sized before the first epoch: H0's buffer
-and one flat scratch of n * max(h1, h2, k) floats, which holds each
-short-lived product in turn (H0 * W1, Z * W2, the squared error, and the
-upstream gradients of Xhat, Z and H0); the ``ForwardCache`` carries it. ReLU
-runs in place on H0's buffer and on the fresh arrays that the sparse products
-return, and ``backward`` masks each upstream gradient into the buffer of the
-activation it is masked by, so it consumes its cache. An epoch then allocates
-only the four sparse products' outputs and the weight-sized gradients and
-Adam arrays. Every result has the same bytes as with freshly allocated
-temporaries: ``out=`` never changes the arithmetic.
+Training and scoring run in tiles (``EncodedGraph.tiles``). N links only
+events of one process instance, so it is block-diagonal over the instances,
+and a run of whole instances is a graph of its own: its rows of every sparse
+product are the whole graph's rows, bit for bit. The instances, in order of
+their smallest event, are packed into tiles of at most 4,096 rows, and an
+instance above that is a tile of its own. A 4,096 x 64 float32 temporary is
+1 MiB, so a tile's working set fits in a 2 MiB L2 cache, and no n-row
+temporary is held. ``train`` runs the forward pass, the loss and the
+backward pass tile by tile; ``backward`` scales each tile's gradients by the
+whole graph's 2 / (n * k), the epoch's loss is the sum of the tiles' losses
+weighted by their shares of the rows, and each weight gradient is summed in
+tile order from the first tile's partial. ``run_detection`` runs the final
+float64 pass, its check and the scores per tile. A log of at most 4,096
+events is one tile, the whole graph, and keeps the bytes of the untiled
+loop.
+
+Training reuses one ``Workspace``, sized for the largest tile before the
+first epoch: H0's buffer and one flat scratch of rows * max(h1, h2, k)
+floats, which holds each short-lived product in turn (H0 * W1, Z * W2, the
+squared error, and the upstream gradients of Xhat, Z and H0); the
+``ForwardCache`` carries it. ReLU runs in place on H0's buffer and on the
+fresh arrays that the sparse products return, and ``backward`` masks each
+upstream gradient into the buffer of the activation it is masked by, so it
+consumes its cache. An epoch then allocates only the sparse products'
+outputs and the weight-sized gradients and Adam arrays. Every result has the
+same bytes as with freshly allocated temporaries: ``out=`` never changes the
+arithmetic.
 """
 
 from __future__ import annotations
@@ -118,14 +135,15 @@ class TrainReport:
 class Workspace:
     """The buffers an epoch writes into, sized once from ``x``'s shape and the hidden widths.
 
-    ``h0`` holds the first layer's activation and, after the backward pass,
-    its masked gradient; the flat scratch is viewed through ``scratch``. It
-    exists to spare the epoch page faults: glibc hands n-row temporaries
-    allocated afresh each epoch back to the kernel, and each is faulted in
-    again. On a 2-vCPU x86 box, with detect-2k read from a file in a fresh
-    process, epochs 200-400 took 257-284 minor faults each without it and
-    0.08-0.14 with it; ``bench/run.py`` read a ``wall_s`` of 1.83-2.05 s
-    without it against 1.10-1.34 s with it.
+    A graph of up to ``x``'s row count runs in it, in the leading rows of
+    each buffer. ``h0`` holds the first layer's activation and, after the
+    backward pass, its masked gradient; the flat scratch is viewed through
+    ``scratch``. It exists to spare the epoch page faults: glibc hands n-row
+    temporaries allocated afresh each epoch back to the kernel, and each is
+    faulted in again. On a 2-vCPU x86 box, with detect-2k read from a file
+    in a fresh process, epochs 200-400 took 257-284 minor faults each
+    without it and 0.08-0.14 with it; ``bench/run.py`` read a ``wall_s`` of
+    1.83-2.05 s without it against 1.10-1.34 s with it.
     """
 
     def __init__(self, x: np.ndarray, model: GcnaeModel) -> None:
@@ -133,11 +151,10 @@ class Workspace:
         self.h0 = np.empty((n, model.w0.shape[1]), x.dtype)
         self._flat = np.empty(n * max(*model.w1.shape, k), x.dtype)
 
-    def scratch(self, width: int) -> np.ndarray:
-        """The scratch as a C-ordered n x ``width`` matrix."""
-        n = self.h0.shape[0]
+    def scratch(self, n: int, width: int) -> np.ndarray:
+        """The scratch as a C-ordered ``n`` x ``width`` matrix."""
         if n * width > self._flat.size:
-            raise DimensionMismatchError(f"workspace holds no n x {width} scratch")
+            raise DimensionMismatchError(f"workspace holds no {n} x {width} scratch")
         return self._flat[: n * width].reshape(n, width)
 
 
@@ -186,15 +203,16 @@ def forward_cached(
         raise DimensionMismatchError(
             f"features have {x.shape[1]} columns, model expects {model.w0.shape[0]}"
         )
-    norm = graph.normalized
+    n, norm = x.shape[0], graph.normalized
     if ax is None:
         ax = spmm(norm, x)
     if workspace is None:
         workspace = Workspace(x, model)
-    h0 = relu(matmul(ax, model.w0, out=workspace.h0), out=workspace.h0)
-    z = spmm(norm, matmul(h0, model.w1, out=workspace.scratch(model.w1.shape[1])))
+    h0 = workspace.h0[:n]
+    relu(matmul(ax, model.w0, out=h0), out=h0)
+    z = spmm(norm, matmul(h0, model.w1, out=workspace.scratch(n, model.w1.shape[1])))
     relu(z, out=z)
-    xhat = spmm(norm, matmul(z, model.w2, out=workspace.scratch(model.w2.shape[1])))
+    xhat = spmm(norm, matmul(z, model.w2, out=workspace.scratch(n, model.w2.shape[1])))
     relu(xhat, out=xhat)
     return ForwardCache(ax=ax, h0=h0, z=z, xhat=xhat, workspace=workspace)
 
@@ -225,9 +243,16 @@ def loss(x: np.ndarray, xhat: np.ndarray, out: np.ndarray | None = None) -> floa
 
 
 def backward(
-    graph: EncodedGraph, model: GcnaeModel, cache: ForwardCache
+    graph: EncodedGraph,
+    model: GcnaeModel,
+    cache: ForwardCache,
+    total_rows: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic gradients of the loss with respect to W0, W1, W2.
+
+    The loss is the mean over ``total_rows`` rows, by default the graph's
+    own; a tile of a larger graph passes the whole graph's row count, and
+    its gradients are then its share of the whole graph's.
 
     Relies on the normalized adjacency being symmetric: left-multiplying an
     upstream gradient by N plays the role of N-transpose, so with
@@ -243,16 +268,16 @@ def backward(
     norm = graph.normalized
     workspace = cache.workspace
 
-    d_xhat = np.subtract(cache.xhat, x, out=workspace.scratch(k))
-    d_xhat *= 2.0 / (n * k)
+    d_xhat = np.subtract(cache.xhat, x, out=workspace.scratch(n, k))
+    d_xhat *= 2.0 / ((n if total_rows is None else total_rows) * k)
     n_d_h2 = spmm(norm, relu_backward(d_xhat, cache.xhat, out=cache.xhat))
     grad_w2 = matmul(cache.z.T, n_d_h2)
 
-    d_z = matmul(n_d_h2, model.w2.T, out=workspace.scratch(model.w2.shape[0]))
+    d_z = matmul(n_d_h2, model.w2.T, out=workspace.scratch(n, model.w2.shape[0]))
     n_d_h1 = spmm(norm, relu_backward(d_z, cache.z, out=cache.z))
     grad_w1 = matmul(cache.h0.T, n_d_h1)
 
-    d_h0 = matmul(n_d_h1, model.w1.T, out=workspace.scratch(model.w1.shape[0]))
+    d_h0 = matmul(n_d_h1, model.w1.T, out=workspace.scratch(n, model.w1.shape[0]))
     grad_w0 = matmul(cache.ax.T, relu_backward(d_h0, cache.h0, out=cache.h0))
 
     return grad_w0, grad_w1, grad_w2
@@ -278,21 +303,25 @@ def _float32_twin(graph: EncodedGraph) -> EncodedGraph:
 def train(graph: EncodedGraph, config: TrainConfig) -> TrainReport:
     """Full-batch Adam training for the configured number of epochs.
 
-    Every epoch runs in float32 on a float32 copy of the graph and of the
-    weights; the returned model holds the float64 master weights that Adam
-    updates. Deterministic given the config seed. Aborts with
-    ``NonFiniteLossError`` if the loss leaves float32's finite range.
+    Every epoch runs in float32 on float32 copies of the graph's tiles and
+    of the weights; the returned model holds the float64 master weights that
+    Adam updates. An epoch runs the tiles in turn through one workspace,
+    sized for the largest: the loss sums each tile's mean weighted by its
+    share of the rows, and each weight gradient sums the tiles' partials in
+    tile order, starting from the first tile's. Deterministic given the
+    config seed. Aborts with ``NonFiniteLossError`` if the loss leaves
+    float32's finite range.
     """
     model = init_model(graph.features.shape[1], config)
     states = {name: AdamState() for name in ("w0", "w1", "w2")}
     losses: list[float] = []
-    graph = _float32_twin(graph)
-    x = graph.features
+    n = graph.n
+    tiles = [_float32_twin(tile) for _, tile in graph.tiles]
     weights = GcnaeModel(
         *(np.empty(w.shape, np.float32) for w in (model.w0, model.w1, model.w2))
     )
-    workspace = Workspace(x, weights)
-    ax = spmm(graph.normalized, x)
+    workspace = Workspace(max((tile.features for tile in tiles), key=len), weights)
+    axs = [spmm(tile.normalized, tile.features) for tile in tiles]
     # A diverging run overflows in the products (and in the weight casts)
     # before its loss turns non-finite; NonFiniteLossError reports it, so
     # numpy need not warn.
@@ -301,12 +330,21 @@ def train(graph: EncodedGraph, config: TrainConfig) -> TrainReport:
             np.copyto(weights.w0, model.w0)
             np.copyto(weights.w1, model.w1)
             np.copyto(weights.w2, model.w2)
-            cache = forward_cached(graph, weights, ax, workspace)
-            value = loss(x, cache.xhat, out=workspace.scratch(x.shape[1]))
+            value, grads = 0.0, None
+            for tile, ax in zip(tiles, axs):
+                x = tile.features
+                cache = forward_cached(tile, weights, ax, workspace)
+                value += loss(x, cache.xhat, out=workspace.scratch(*x.shape)) * (tile.n / n)
+                partials = backward(tile, weights, cache, total_rows=n)
+                if grads is None:
+                    grads = partials
+                else:
+                    for total, partial in zip(grads, partials):
+                        total += partial
             if not math.isfinite(value):
                 raise NonFiniteLossError(epoch, value)
             losses.append(value)
-            grad_w0, grad_w1, grad_w2 = backward(graph, weights, cache)
+            grad_w0, grad_w1, grad_w2 = grads
             model.w0 = adam_step(model.w0, grad_w0, states["w0"], config.learning_rate)
             model.w1 = adam_step(model.w1, grad_w1, states["w1"], config.learning_rate)
             model.w2 = adam_step(model.w2, grad_w2, states["w2"], config.learning_rate)
@@ -337,18 +375,21 @@ def run_detection(
 
     A bad ``k_factor`` or an empty log is rejected before any work starts.
     ``train`` checks the loss before each update only, so the final model's
-    is checked here.
+    is checked here. The final float64 reconstruction, its check and the
+    scores run tile by tile, and the scores are written back in log order.
     """
     validate_k_factor(k_factor)
     if not log.ids:
         raise ValueError("cannot run detection on an empty log")
     graph = encode_log(log)
     report = train(graph, config)
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverged model raises below
-        _, xhat = forward(graph, report.model)
-        value = loss(graph.features, xhat)
-    if not math.isfinite(value):
-        raise NonFiniteLossError(config.epochs, value)
-    scores = score_events(graph.features, xhat, graph.layout)
+    scores = np.empty(graph.n)
+    for rows, tile in graph.tiles:
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverged model raises below
+            _, xhat = forward(tile, report.model)
+            value = loss(tile.features, xhat)
+        if not math.isfinite(value):
+            raise NonFiniteLossError(config.epochs, value)
+        scores[rows] = score_events(tile.features, xhat, graph.layout)
     threshold = iqr_threshold(scores, k_factor=k_factor)
     return DetectionReport(graph.event_ids, scores, label_events(scores, threshold), threshold)

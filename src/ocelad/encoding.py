@@ -10,17 +10,21 @@ then one column per numeric attribute. Layout and features are read from the
 log's columns: the vocabularies and codes of the activity and categorical
 attributes, and the float columns of the numerics. A log is encoded only with
 the layout built from it, so each code is its own column offset.
+
+N links only events of one process instance, so it is block-diagonal over the
+instances, and an encoded graph splits into row tiles of whole instances
+(``EncodedGraph.tiles``) that the model can run one at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .instances import ProcessInstanceSet, _sorted_unique, build_instances
+from .instances import ProcessInstanceSet, _component_roots, _sorted_unique, build_instances
 from .ocel import ObjectCentricLog
 
 
@@ -102,6 +106,11 @@ class FeatureLayout:
     n_columns: int
 
 
+# Most rows per tile. A 4,096 x 64 float32 temporary is 1 MiB, so a tile's
+# working set stays in a 2 MiB L2 cache.
+TILE_ROWS = 4096
+
+
 @dataclass(frozen=True, eq=False)
 class EncodedGraph:
     """The model input: normalized adjacency, features, layout."""
@@ -114,6 +123,61 @@ class EncodedGraph:
     @property
     def n(self) -> int:
         return self.normalized.n
+
+    @cached_property
+    def tiles(self) -> tuple[tuple[np.ndarray, EncodedGraph], ...]:
+        """The graph in tiles of whole instances, built on first read; see ``_tiles``."""
+        return _tiles(self, TILE_ROWS)
+
+
+def _tiles(graph: EncodedGraph, max_rows: int) -> tuple[tuple[np.ndarray, EncodedGraph], ...]:
+    """``graph`` split into (rows, tile) pairs of at most ``max_rows`` rows.
+
+    The instances are the connected components of N. Taken in order of
+    their smallest row, they are packed into consecutive tiles; an instance
+    above ``max_rows`` rows is a tile of its own. ``rows`` lists a tile's
+    rows of ``graph`` in ascending (log) order, and the tile is the graph on
+    them: N's entries among those rows in local indices and stored order,
+    and the gathered features and event ids. So a tile's rows of N * H have
+    the bytes of the same rows of the whole product. A graph of at most
+    ``max_rows`` rows is one tile that shares the graph's arrays.
+    """
+    n = graph.n
+    if n <= max_rows:
+        return ((np.arange(n), replace(graph)),)
+    norm = graph.normalized
+    row_of = np.repeat(np.arange(n), np.diff(norm.indptr))
+    upper = norm.indices > row_of
+    roots = _component_roots(n, np.stack((row_of[upper], norm.indices[upper]), axis=1))
+    by_instance = np.argsort(roots, kind="stable")
+    sizes = np.bincount(roots)  # each instance counted at its smallest row
+    ends = np.cumsum(sizes[sizes > 0])
+    # Greedy packing: each tile takes every next instance that ends within
+    # max_rows of its start, and at least one.
+    cuts, first = [0], 0
+    while first < ends.size:
+        first = max(int(np.searchsorted(ends, cuts[-1] + max_rows, side="right")), first + 1)
+        cuts.append(int(ends[first - 1]))
+
+    local = np.empty(n, dtype=np.int64)
+    tiles = []
+    for start, stop in zip(cuts, cuts[1:]):
+        rows = np.sort(by_instance[start:stop])
+        local[rows] = np.arange(rows.size)
+        counts = norm.indptr[rows + 1] - norm.indptr[rows]
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        entries = np.repeat(norm.indptr[rows] - indptr[:-1], counts) + np.arange(indptr[-1])
+        tile = EncodedGraph(
+            normalized=SparseAdjacency(
+                rows.size, indptr, local[norm.indices[entries]], norm.weights[entries]
+            ),
+            features=graph.features[rows],
+            layout=graph.layout,
+            event_ids=tuple(map(graph.event_ids.__getitem__, rows.tolist())),
+        )
+        tiles.append((rows, tile))
+    return tuple(tiles)
 
 
 def _csr(

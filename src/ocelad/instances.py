@@ -11,6 +11,7 @@ CSR), and events are addressed by their index in log order throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,15 +27,25 @@ class ProcessInstance:
 
 @dataclass(frozen=True, eq=False)
 class ProcessInstanceSet:
-    """The event graph of a log and its process instances.
+    """The event graph of a log of ``n`` events and its process instances.
 
     ``edges`` is an (m, 2) int64 array of (earlier, later) event indices,
     sorted lexicographically and without duplicates. The instances' node sets
-    partition the event indices and are ordered by their smallest index.
+    partition the event indices and are ordered by their smallest index; they
+    are built when first read, as encoding needs only the edges.
     """
 
     edges: np.ndarray
-    instances: tuple[ProcessInstance, ...]
+    n: int
+
+    @cached_property
+    def instances(self) -> tuple[ProcessInstance, ...]:
+        """The node sets of the edges' connected components."""
+        roots = _component_roots(self.n, self.edges)
+        by_root = np.argsort(roots, kind="stable")
+        cuts = np.flatnonzero(np.diff(roots[by_root])) + 1
+        parts = np.split(by_root, cuts) if self.n else []
+        return tuple(ProcessInstance(frozenset(part.tolist())) for part in parts)
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -90,10 +101,4 @@ def build_instances(log: ObjectCentricLog) -> ProcessInstanceSet:
     objects, members = log.ref_objects[order], members[order]
     same = objects[1:] == objects[:-1]
     keys = _sorted_unique(members[:-1][same] * n + members[1:][same])
-    edges = np.stack(np.divmod(keys, n), axis=1)
-
-    roots = _component_roots(n, edges)
-    by_root = np.argsort(roots, kind="stable")
-    parts = np.split(by_root, np.flatnonzero(np.diff(roots[by_root])) + 1) if n else []
-    instances = tuple(ProcessInstance(frozenset(part.tolist())) for part in parts)
-    return ProcessInstanceSet(edges=edges, instances=instances)
+    return ProcessInstanceSet(edges=np.stack(np.divmod(keys, n), axis=1), n=n)

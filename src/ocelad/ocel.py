@@ -36,6 +36,7 @@ import io
 import json
 import logging
 import math
+import re
 import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -56,6 +57,10 @@ _NAIVE_EPOCH = datetime(1970, 1, 1)  # a time without a timezone is UTC
 _MIN_MILLIS = -62_135_596_800_000
 _MAX_MILLIS = 253_402_300_799_999
 _MAX_FLOAT = sys.float_info.max
+# A fraction with a nonzero digit past its third names a time below a
+# millisecond. It is read off the text, with a comma decimal mark read as a
+# point: ``datetime.fromisoformat`` drops fraction digits past the sixth.
+_SUB_MILLISECOND = re.compile(r"\.[0-9]{3}[0-9]*[1-9]")
 
 # Top-level keys of the OCEL 1.0 JSON format. Keys outside this set are
 # ignored with a warning; "ocel:global-event"/"ocel:global-object" carry
@@ -259,8 +264,10 @@ def _parse_timestamps(texts: Sequence[str]) -> tuple[list[int], int | None]:
     deltas = [m - (_NAIVE_EPOCH if m.tzinfo is None else _EPOCH) for m in moments]
     millis = [d.days * 86_400_000 + d.seconds * 1000 + d.microseconds // 1000 for d in deltas]
     if error is None and (not millis or _MIN_MILLIS <= min(millis) and max(millis) <= _MAX_MILLIS):
-        truncated = [d.microseconds % 1000 > 0 for d in deltas]
-        return millis, truncated.index(True) if True in truncated else None
+        # Every text parsed, so none holds a line break.
+        joined = "\n".join(normalized).replace(",", ".")
+        found = _SUB_MILLISECOND.search(joined)
+        return millis, None if found is None else joined.count("\n", 0, found.start())
     if len(texts) > 1:
         for text in texts:
             parse_timestamps([text])

@@ -16,6 +16,8 @@ from ocelad.encoding import (
     SparseAdjacency,
     normalize_adjacency,
 )
+from ocelad.generator import benchmark_config, generate
+from ocelad.injection import inject_all, plan_injection
 from ocelad.ocel import (
     Event,
     ObjectCentricLog,
@@ -75,6 +77,18 @@ def golden_log_bytes() -> bytes:
 @pytest.fixture(scope="session")
 def golden_log() -> ObjectCentricLog:
     return parse_ocel_json(golden_log_bytes())
+
+
+@pytest.fixture(scope="session")
+def tiled_log() -> ObjectCentricLog:
+    """A benchmark-shaped log of 4,345 events, more rows than one tile takes.
+
+    700 orders generated at seed 11, with anomalies injected at 0.10 at seed 12.
+    """
+    clean = generate(benchmark_config(n_orders=700, seed=11))
+    contaminated, _ = inject_all(clean, plan_injection(len(clean.ids), 0.10, 12))
+    assert len(contaminated.ids) == 4345
+    return contaminated
 
 
 def make_log(rows, objects) -> ObjectCentricLog:

@@ -38,6 +38,7 @@ from ocelad.encoding import (
     normalize_adjacency,
 )
 from ocelad.generator import GenConfig, generate
+from ocelad.instances import build_instances
 from ocelad.numerics import AdamState, DimensionMismatchError, adam_step, make_rng, relu
 from ocelad.ocel import assemble_log
 
@@ -103,6 +104,58 @@ def reference_train(
         model.w0 = adam_step(model.w0, grad_w0, states["w0"], config.learning_rate)
         model.w1 = adam_step(model.w1, grad_w1, states["w1"], config.learning_rate)
         model.w2 = adam_step(model.w2, grad_w2, states["w2"], config.learning_rate)
+    return TrainReport(losses=losses, model=model)
+
+
+def tiled_reference_train(log, graph: EncodedGraph, config: TrainConfig) -> TrainReport:
+    """``reference_train`` run tile by tile, on tiles built from the log's instances.
+
+    Kept as the byte-identity oracle for ``train`` on a log of more than one
+    tile. It packs ``build_instances(log).instances``, in order of their
+    smallest event, into runs of at most 4,096 events, cuts each tile's
+    matrix out of the whole one with scipy's indexing, and runs every tile's
+    forward and backward pass with the loss scaled to the whole graph. The
+    epoch's loss is the sum of the tiles' means weighted by their shares of
+    the rows, and each weight gradient the sum of the tiles' partials in
+    tile order.
+    """
+    packed = [[]]
+    for nodes in sorted((inst.node_indices for inst in build_instances(log).instances), key=min):
+        if packed[-1] and len(packed[-1]) + len(nodes) > 4096:
+            packed.append([])
+        packed[-1].extend(nodes)
+    csr = graph.normalized.csr.astype(np.float32)
+    n, k = graph.features.shape
+    tiles = []
+    for rows in map(sorted, packed):
+        sub = csr[rows][:, rows]
+        sub.sort_indices()
+        tiles.append((sub, graph.features[rows].astype(np.float32)))
+    model = init_model(k, config)
+    states = {name: AdamState() for name in ("w0", "w1", "w2")}
+    losses = []
+    axs = [sub @ x for sub, x in tiles]
+    for epoch in range(config.epochs):
+        w0, w1, w2 = (w.astype(np.float32) for w in (model.w0, model.w1, model.w2))
+        value, grads = 0.0, None
+        for (sub, x), ax in zip(tiles, axs):
+            h0 = np.maximum(ax @ w0, 0.0)
+            z = np.maximum(sub @ (h0 @ w1), 0.0)
+            xhat = np.maximum(sub @ (z @ w2), 0.0)
+            diff = x - xhat
+            value += float(np.mean(diff * diff)) * (x.shape[0] / n)
+            d_xhat = (2.0 / (n * k)) * (xhat - x)
+            n_d_h2 = sub @ np.where(xhat > 0.0, d_xhat, 0.0)
+            n_d_h1 = sub @ np.where(z > 0.0, n_d_h2 @ w2.T, 0.0)
+            d_h0 = np.where(h0 > 0.0, n_d_h1 @ w1.T, 0.0)
+            partials = (ax.T @ d_h0, h0.T @ n_d_h1, z.T @ n_d_h2)
+            grads = partials if grads is None else tuple(g + p for g, p in zip(grads, partials))
+        if not math.isfinite(value):
+            raise NonFiniteLossError(epoch, value)
+        losses.append(value)
+        model.w0 = adam_step(model.w0, grads[0], states["w0"], config.learning_rate)
+        model.w1 = adam_step(model.w1, grads[1], states["w1"], config.learning_rate)
+        model.w2 = adam_step(model.w2, grads[2], states["w2"], config.learning_rate)
     return TrainReport(losses=losses, model=model)
 
 
@@ -446,6 +499,16 @@ class TestTrain:
         owners = {id(p if p.base is None else p.base) for p in products}
         assert len(owners) == 2
 
+    def test_tiled_log_same_bytes_as_tiled_reference(self, tiled_log):
+        graph = encode_log(tiled_log)
+        assert len(graph.tiles) == 2
+        config = TrainConfig(epochs=20, seed=100)
+        outcome = training_outcome(train, graph, config)
+        assert outcome[0] == "report"
+        assert outcome == training_outcome(
+            lambda graph, config: tiled_reference_train(tiled_log, graph, config), graph, config
+        )
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
@@ -462,6 +525,38 @@ class TestTrain:
         monkeypatch.setattr(autoencoder, "encode_log", lambda *args, **kw: pytest.fail("encoded"))
         with pytest.raises(ValueError, match="cannot run detection on an empty log"):
             autoencoder.run_detection(assemble_log([], []), TrainConfig(epochs=1))
+
+
+class TestTiledDetection:
+    def test_scores_match_the_whole_graph(self, tiled_log, monkeypatch):
+        trained = []
+
+        def recording_train(graph, config):
+            trained.append(train(graph, config))
+            return trained[-1]
+
+        monkeypatch.setattr(autoencoder, "train", recording_train)
+        report = autoencoder.run_detection(tiled_log, TrainConfig(epochs=10, seed=100))
+        graph = encode_log(tiled_log)
+        _, xhat = forward(graph, trained[0].model)
+        expected = score_events(graph.features, xhat, graph.layout)
+        assert report.event_ids == graph.event_ids
+        np.testing.assert_allclose(report.scores, expected, rtol=1e-12, atol=0.0)
+
+    def test_no_pass_sees_more_than_one_tile(self, tiled_log, monkeypatch):
+        sizes = {"forward": [], "forward_cached": [], "backward": []}
+        for name, rows in sizes.items():
+            original = getattr(autoencoder, name)
+
+            def recording(graph, *args, _original=original, _rows=rows, **kwargs):
+                _rows.append(graph.n)
+                return _original(graph, *args, **kwargs)
+
+            monkeypatch.setattr(autoencoder, name, recording)
+        autoencoder.run_detection(tiled_log, TrainConfig(epochs=3, seed=100))
+        assert sizes["forward"] == [4092, 253]
+        assert sizes["forward_cached"][:2] == sizes["backward"][:2] == [4092, 253]
+        assert max(max(rows) for rows in sizes.values()) <= 4096
 
 
 class TestScores:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ocelad.encoding import (
+    TILE_ROWS,
     EncodingError,
     FeatureGroup,
     FeatureLayout,
@@ -16,9 +17,10 @@ from ocelad.encoding import (
     encode_features,
     encode_log,
     normalize_adjacency,
+    _tiles,
 )
 from ocelad.generator import GenConfig, generate
-from ocelad.instances import ProcessInstance, ProcessInstanceSet, build_instances
+from ocelad.instances import ProcessInstanceSet, build_instances
 from ocelad.numerics import make_rng
 from ocelad.ocel import Event, ObjectEntry, assemble_log
 
@@ -177,22 +179,18 @@ class TestAdjacency:
             np.testing.assert_array_equal(adjacency.to_dense(), dense)
 
     def test_index_out_of_range(self):
-        bad = ProcessInstanceSet(
-            edges=np.array([[0, 1], [0, 9]]), instances=(ProcessInstance(frozenset({0, 1, 9})),)
-        )
+        bad = ProcessInstanceSet(edges=np.array([[0, 1], [0, 9]]), n=10)
         with pytest.raises(IndexOutOfRangeError):
             build_adjacency(bad, 2)
 
     def test_diagonal_rejected(self):
-        bad = ProcessInstanceSet(
-            edges=np.array([[0, 1], [1, 1]]), instances=(ProcessInstance(frozenset({0, 1})),)
-        )
+        bad = ProcessInstanceSet(edges=np.array([[0, 1], [1, 1]]), n=2)
         with pytest.raises(IndexOutOfRangeError):
             build_adjacency(bad, 2)
 
     def test_unsorted_repeated_edges_merged(self):
         edges = np.array([[2, 0], [0, 1], [2, 0], [1, 2], [0, 2]])
-        adjacency = build_adjacency(ProcessInstanceSet(edges, ()), 3)
+        adjacency = build_adjacency(ProcessInstanceSet(edges, 3), 3)
         np.testing.assert_array_equal(adjacency.indptr, [0, 2, 3, 4])
         np.testing.assert_array_equal(adjacency.indices, [1, 2, 2, 0])
 
@@ -398,3 +396,81 @@ class TestEncodeLog:
         assert graph.normalized.n == n
         assert graph.event_ids == golden_log.ids
 
+
+
+def assert_whole_instance_tiles(log, tiles, max_rows):
+    """The tiles split the rows into whole instances, packed in order of smallest row.
+
+    Each tile lists its rows ascending; it holds at most ``max_rows`` rows
+    unless it is one instance, and no tile could also have taken the next
+    tile's first instance.
+    """
+    instances = sorted((sorted(inst.node_indices) for inst in build_instances(log).instances),
+                       key=min)
+    home = {row: position for position, rows in enumerate(instances) for row in rows}
+    packed = []
+    for rows, tile in tiles:
+        assert rows.tolist() == sorted(rows.tolist()) and tile.n == rows.size
+        members = sorted({home[row] for row in rows.tolist()})
+        assert sum(len(instances[i]) for i in members) == rows.size
+        assert rows.size <= max_rows or len(members) == 1
+        packed.append(members)
+    assert [i for members in packed for i in members] == list(range(len(instances)))
+    for members, following in zip(packed, packed[1:]):
+        assert sum(len(instances[i]) for i in members + following[:1]) > max_rows
+
+
+class TestTiles:
+    def test_small_graph_is_one_tile_sharing_its_arrays(self, golden_log):
+        graph = encode_log(golden_log)
+        ((rows, tile),) = graph.tiles
+        assert rows.tolist() == list(range(graph.n))
+        assert tile.normalized is graph.normalized and tile.features is graph.features
+        assert tile.event_ids is graph.event_ids and graph.tiles is graph.tiles
+
+    def test_large_log_splits_into_whole_instances(self, tiled_log):
+        graph = encode_log(tiled_log)
+        assert [tile.n for _, tile in graph.tiles] == [4092, 253]
+        assert_whole_instance_tiles(tiled_log, graph.tiles, TILE_ROWS)
+
+    def test_tile_products_have_the_bytes_of_the_whole(self, tiled_log):
+        graph = encode_log(tiled_log)
+        dense = make_rng(5).standard_normal((graph.n, 7))
+        whole = graph.normalized.csr @ dense
+        for rows, tile in graph.tiles:
+            assert (tile.normalized.csr @ dense[rows]).tobytes() == whole[rows].tobytes()
+            assert tile.features.tobytes() == graph.features[rows].tobytes()
+            assert tile.event_ids == tuple(graph.event_ids[i] for i in rows)
+
+    def test_hub_instance_above_the_limit_is_one_tile(self):
+        # Every event shares one object, so the log is a single instance.
+        events = [
+            Event(f"e{i}", "a", i, frozenset({"hub", f"o{i}"}), {}) for i in range(TILE_ROWS + 104)
+        ]
+        objects = [ObjectEntry("hub", "H")] + [ObjectEntry(f"o{i}", "T") for i in range(len(events))]
+        log = assemble_log(events, objects)
+        graph = encode_log(log)
+        assert [tile.n for _, tile in graph.tiles] == [TILE_ROWS + 104]
+        assert_whole_instance_tiles(log, graph.tiles, TILE_ROWS)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        sizes=st.lists(st.integers(1, 5), min_size=1, max_size=12),
+        max_rows=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+    )
+    @example(sizes=[2, 2, 3, 1], max_rows=4, seed=0)
+    def test_packing_matches_the_instances(self, sizes, max_rows, seed):
+        # Instance j is the events of object j, shuffled through the log.
+        owners = make_rng(seed).permutation(np.repeat(np.arange(len(sizes)), sizes))
+        log = make_log(
+            [(f"e{i}", "a", i, [f"o{owner}"], {"x": float(i % 3)}) for i, owner in enumerate(owners)],
+            {f"o{j}": "T" for j in range(len(sizes))},
+        )
+        graph = encode_log(log)
+        tiles = _tiles(graph, max_rows)
+        assert_whole_instance_tiles(log, tiles, max_rows)
+        dense = graph.normalized.to_dense()
+        for rows, tile in tiles:
+            np.testing.assert_array_equal(tile.normalized.to_dense(), dense[np.ix_(rows, rows)])
+            np.testing.assert_array_equal(tile.features, graph.features[rows])

@@ -1,11 +1,18 @@
 """Trace edges and process-instance reconstruction."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ocelad.encoding import encode_log
 from ocelad.generator import GenConfig, generate
-from ocelad.instances import _component_roots, _sorted_unique, build_instances
+from ocelad.instances import (
+    ProcessInstanceSet,
+    _component_roots,
+    _sorted_unique,
+    build_instances,
+)
 from ocelad.numerics import make_rng
 
 from conftest import bfs_components, make_log, oracle_edges, oracle_traces, random_log
@@ -180,6 +187,14 @@ class TestInstances:
         for inst in result.instances:
             assert not (union & inst.node_indices)
             union |= inst.node_indices
+
+    def test_built_on_first_read(self, golden_log, monkeypatch):
+        # Encoding reads only the edges, so it never computes the components.
+        result = build_instances(golden_log)
+        assert "instances" not in vars(result)
+        assert result.instances is result.instances
+        monkeypatch.setattr(ProcessInstanceSet, "instances", property(lambda _: pytest.fail("built")))
+        encode_log(golden_log)
 
     def test_deterministic(self, golden_log):
         first, second = build_instances(golden_log), build_instances(golden_log)

@@ -4,6 +4,7 @@ import gc
 import json
 import logging
 import math
+import re
 from dataclasses import replace
 from itertools import chain
 from datetime import datetime, timedelta, timezone
@@ -77,9 +78,12 @@ def reference_parse_timestamp(text):
 
 
 def reference_truncates(text):
-    """Whether the time ``text`` names lies between two milliseconds."""
-    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
-    return reference_moment(text) != epoch + timedelta(milliseconds=reference_parse_timestamp(text))
+    """Whether a fraction in ``text`` has a nonzero digit past its third.
+
+    Read off the text, as ``datetime.fromisoformat`` drops fraction digits
+    past the sixth.
+    """
+    return any(digits[3:].strip("0") for digits in re.findall(r"[.,]([0-9]+)", text))
 
 
 def reference_document(log):
@@ -577,6 +581,37 @@ class TestParse:
         assert [record.getMessage() for record in caplog.records] == [
             "timestamps truncated to milliseconds, first at event 'e1'"
         ]
+
+    @pytest.mark.parametrize("fraction", [".1230001", ",1230001", ",1234"])
+    def test_seventh_fraction_digit_truncated_with_a_warning(self, fraction, caplog):
+        # datetime.fromisoformat drops the seventh digit itself, so only the
+        # stamp text shows that the time lies between two milliseconds.
+        events = {"e1": event_body(ts=f"2023-01-01T00:00:00{fraction}Z")}
+        objects = {"o1": {"ocel:type": "A"}}
+        with caplog.at_level(logging.WARNING, logger="ocelad.ocel"):
+            log = parse_ocel_json(json.dumps(doc_with(events=events, objects=objects)).encode())
+        assert log.timestamps.tolist() == [parse_timestamp("2023-01-01T00:00:00Z") + 123]
+        assert [record.getMessage() for record in caplog.records] == [
+            "timestamps truncated to milliseconds, first at event 'e1'"
+        ]
+
+    def test_warning_names_a_seven_digit_stamp_before_a_four_digit_one(self, caplog):
+        events = {
+            "e1": event_body(ts="2023-01-01T00:00:00.1230001Z"),
+            "e2": event_body(ts="2023-01-01T00:00:00,1239Z"),
+            "e3": event_body(ts="2023-01-01T00:00:00.1230000Z"),
+        }
+        objects = {"o1": {"ocel:type": "A"}}
+        data = json.dumps(doc_with(events=events, objects=objects)).encode()
+        with caplog.at_level(logging.WARNING, logger="ocelad.ocel"):
+            log = parse_ocel_json(data)
+        messages = [record.getMessage() for record in caplog.records]
+        assert messages == ["timestamps truncated to milliseconds, first at event 'e1'"]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="ocelad.ocel"):
+            assert_logs_equal(reference_parse_ocel_json(data), log)
+        assert [record.getMessage() for record in caplog.records] == messages
+        assert not reference_truncates("2023-01-01T00:00:00.1230000Z")
 
     def test_written_log_reads_back_without_warnings(self, golden_log, caplog):
         with caplog.at_level(logging.WARNING, logger="ocelad.ocel"):
